@@ -6,6 +6,9 @@
 //! subset of benchmarks, short traces, a few fault-map pairs) and prints its series
 //! means, so the bench log reports the same who-wins-by-how-much comparison the
 //! paper makes. The full-scale campaign is available via the `vccmin-repro` CLI.
+//!
+//! The campaign benches time the pooled executor (`run_parallel`); run with
+//! `RAYON_NUM_THREADS=1` to time the same job list on one worker.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -28,7 +31,7 @@ fn print_means(tag: &str, table: &FigureTable) {
 fn bench_low_voltage(c: &mut Criterion) {
     let params = bench_params();
     // Regenerate the figures once and print the headline means.
-    let study = LowVoltageStudy::run(&params);
+    let study = LowVoltageStudy::run_parallel(&params);
     print_means("fig8", &study.figure8());
     print_means("fig9", &study.figure9());
     print_means("fig10", &study.figure10());
@@ -36,7 +39,7 @@ fn bench_low_voltage(c: &mut Criterion) {
     let mut group = c.benchmark_group("simulation_low_voltage");
     group.sample_size(10).measurement_time(Duration::from_secs(20));
     group.bench_function("fig08_fig09_fig10_lowvolt_campaign", |b| {
-        b.iter(|| black_box(LowVoltageStudy::run(black_box(&params))))
+        b.iter(|| black_box(LowVoltageStudy::run_parallel(black_box(&params))))
     });
     group.bench_function("fig08_lowvolt_no_vc_baseline", |b| {
         b.iter(|| black_box(study.figure8()))
@@ -52,14 +55,14 @@ fn bench_low_voltage(c: &mut Criterion) {
 
 fn bench_high_voltage(c: &mut Criterion) {
     let params = bench_params();
-    let study = HighVoltageStudy::run(&params);
+    let study = HighVoltageStudy::run_parallel(&params);
     print_means("fig11", &study.figure11());
     print_means("fig12", &study.figure12());
 
     let mut group = c.benchmark_group("simulation_high_voltage");
     group.sample_size(10).measurement_time(Duration::from_secs(20));
     group.bench_function("fig11_fig12_highvolt_campaign", |b| {
-        b.iter(|| black_box(HighVoltageStudy::run(black_box(&params))))
+        b.iter(|| black_box(HighVoltageStudy::run_parallel(black_box(&params))))
     });
     group.bench_function("fig11_highvolt_no_vc", |b| {
         b.iter(|| black_box(study.figure11()))

@@ -6,7 +6,7 @@
 //! default (override with `--instructions` and `--pairs`).
 //!
 //! ```text
-//! vccmin-repro <target> [--workload W[,W...]] [--core C] [--scheme S] [--l2-scheme L] [--instructions N] [--pairs K] [--dies D] [--seed S] [--pfail P] [--smoke] [--csv] [--serial] [--out PATH] [--checkpoint DIR]
+//! vccmin-repro <target> [--workload W[,W...]] [--core C] [--scheme S] [--l2-scheme L] [--instructions N] [--pairs K] [--dies D] [--seed S] [--pfail P] [--smoke] [--csv] [--out PATH] [--checkpoint DIR]
 //!     target: fig1 fig3 fig4 fig5 fig6 fig7 table1 fig8 fig9 fig10 fig11 fig12
 //!             analysis (figs 1,3-7 + table1)   lowvolt (figs 8-10)
 //!             highvolt (figs 11-12)            schemes (repair-scheme matrix)
@@ -55,8 +55,9 @@
 //!               (progress and summaries stay on stderr either way)
 //! ```
 //!
-//! Simulation campaigns run on all cores by default (`--serial` forces the
-//! reference single-threaded executor; both produce bit-identical output).
+//! Simulation campaigns run on the rayon pool: all cores by default, one
+//! worker on the calling thread with `RAYON_NUM_THREADS=1`. The output is
+//! byte-identical for every worker count.
 
 use std::env;
 use std::fs::File;
@@ -81,7 +82,6 @@ struct Options {
     yield_params: YieldParams,
     scheme: Option<SchemeConfig>,
     csv: bool,
-    serial: bool,
     out: Option<String>,
     checkpoint: Option<String>,
 }
@@ -107,7 +107,6 @@ fn parse_args() -> Result<Options, String> {
     let mut core: Option<CoreModel> = None;
     let mut l2: Option<L2Protection> = None;
     let mut csv = false;
-    let mut serial = false;
     let mut smoke = false;
     let mut instructions: Option<u64> = None;
     let mut pairs: Option<usize> = None;
@@ -163,7 +162,11 @@ fn parse_args() -> Result<Options, String> {
             }
             "--pfail" => {
                 let v = args.next().ok_or("--pfail needs a value")?;
-                pfail = Some(v.parse().map_err(|e| format!("bad pfail: {e}"))?);
+                let p: f64 = v.parse().map_err(|e| format!("bad pfail: {e}"))?;
+                if !(0.0..=1.0).contains(&p) {
+                    return Err(format!("--pfail must be a probability in [0, 1], got {v}"));
+                }
+                pfail = Some(p);
             }
             "--core" => {
                 let v = args.next().ok_or("--core needs a value")?;
@@ -196,7 +199,6 @@ fn parse_args() -> Result<Options, String> {
                 })?);
             }
             "--csv" => csv = true,
-            "--serial" => serial = true,
             "--smoke" => smoke = true,
             other => return Err(format!("unknown option {other}\n{}", usage())),
         }
@@ -318,14 +320,13 @@ fn parse_args() -> Result<Options, String> {
         yield_params,
         scheme,
         csv,
-        serial,
         out,
         checkpoint,
     })
 }
 
 fn usage() -> String {
-    "usage: vccmin-repro <fig1|fig3|fig4|fig5|fig6|fig7|table1|fig8|fig9|fig10|fig11|fig12|analysis|lowvolt|highvolt|schemes|governor|yield|core-matrix|workloads|cores|all> [--workload W[,W...]] [--core ooo|in-order] [--scheme baseline|block-disable|word-disable|bit-fix|way-sacrifice] [--l2-scheme perfect-l2|matched|<scheme>] [--instructions N] [--pairs K] [--dies D] [--seed S] [--pfail P] [--smoke] [--csv] [--serial] [--out PATH] [--checkpoint DIR]".to_string()
+    "usage: vccmin-repro <fig1|fig3|fig4|fig5|fig6|fig7|table1|fig8|fig9|fig10|fig11|fig12|analysis|lowvolt|highvolt|schemes|governor|yield|core-matrix|workloads|cores|all> [--workload W[,W...]] [--core ooo|in-order] [--scheme baseline|block-disable|word-disable|bit-fix|way-sacrifice] [--l2-scheme perfect-l2|matched|<scheme>] [--instructions N] [--pairs K] [--dies D] [--seed S] [--pfail P] [--smoke] [--csv] [--out PATH] [--checkpoint DIR]".to_string()
 }
 
 fn emit(out: &mut dyn Write, table: &FigureTable, csv: bool) {
@@ -400,21 +401,15 @@ fn run_analysis(out: &mut dyn Write, csv: bool) {
     print_table1(out);
 }
 
-fn run_lowvolt(
-    out: &mut dyn Write,
-    params: &SimulationParams,
-    pool: &FaultMapPool,
-    csv: bool,
-    serial: bool,
-) {
+fn run_lowvolt(out: &mut dyn Write, params: &SimulationParams, pool: &FaultMapPool, csv: bool) {
     eprintln!(
         "running low-voltage campaign: {} workloads x {} fault-map pairs x {} instructions ({})",
         params.workloads.len(),
         params.fault_map_pairs,
         params.instructions,
-        executor_label(serial),
+        executor_label(),
     );
-    let study = LowVoltageStudy::run_with_pool(params, pool, serial);
+    let study = LowVoltageStudy::run_with_pool(params, pool, false);
     emit(out, &study.figure8(), csv);
     emit(out, &study.figure9(), csv);
     emit(out, &study.figure10(), csv);
@@ -445,7 +440,6 @@ fn run_schemes(
     params: &SimulationParams,
     pool: &FaultMapPool,
     csv: bool,
-    serial: bool,
     scheme: Option<SchemeConfig>,
 ) {
     let described = match scheme {
@@ -459,22 +453,16 @@ fn run_schemes(
         params.instructions,
         params.core,
         params.l2,
-        executor_label(serial),
+        executor_label(),
     );
     let study = match scheme {
-        Some(s) => SchemeMatrixStudy::run_single_with_pool(params, pool, s, serial),
-        None => SchemeMatrixStudy::run_with_pool(params, pool, serial),
+        Some(s) => SchemeMatrixStudy::run_single_with_pool(params, pool, s, false),
+        None => SchemeMatrixStudy::run_with_pool(params, pool, false),
     };
     emit(out, &study.table(), csv);
 }
 
-fn run_core_matrix(
-    out: &mut dyn Write,
-    params: &SimulationParams,
-    pool: &FaultMapPool,
-    csv: bool,
-    serial: bool,
-) {
+fn run_core_matrix(out: &mut dyn Write, params: &SimulationParams, pool: &FaultMapPool, csv: bool) {
     eprintln!(
         "running core matrix: {} backends x {} workloads x {} fault-map pairs x {} instructions, L2 {} ({})",
         CoreModel::ALL.len(),
@@ -482,9 +470,9 @@ fn run_core_matrix(
         params.fault_map_pairs,
         params.instructions,
         params.l2,
-        executor_label(serial),
+        executor_label(),
     );
-    let study = CoreMatrixStudy::run_with_pool(params, pool, serial);
+    let study = CoreMatrixStudy::run_with_pool(params, pool, false);
     emit(out, &study.table(), csv);
     // Diagnostics go to stderr so `--csv` stdout stays machine-parseable.
     if let Some(first) = study.cores.first() {
@@ -503,22 +491,16 @@ fn run_core_matrix(
     }
 }
 
-fn run_governor(
-    out: &mut dyn Write,
-    params: &SimulationParams,
-    pool: &FaultMapPool,
-    csv: bool,
-    serial: bool,
-) {
+fn run_governor(out: &mut dyn Write, params: &SimulationParams, pool: &FaultMapPool, csv: bool) {
     eprintln!(
         "running governor campaign: {} workloads x {} policies x {} fault-map pairs x {} instructions ({})",
         params.workloads.len(),
         vccmin_experiments::GOVERNOR_POLICY_LABELS.len(),
         params.fault_map_pairs,
         params.instructions,
-        executor_label(serial),
+        executor_label(),
     );
-    let study = GovernorStudy::run_with_pool(params, pool, serial);
+    let study = GovernorStudy::run_with_pool(params, pool, false);
     let table = study.table();
     emit(out, &table, csv);
     let means = table.series_means();
@@ -542,20 +524,14 @@ fn run_governor(
     );
 }
 
-fn run_highvolt(
-    out: &mut dyn Write,
-    params: &SimulationParams,
-    pool: &FaultMapPool,
-    csv: bool,
-    serial: bool,
-) {
+fn run_highvolt(out: &mut dyn Write, params: &SimulationParams, pool: &FaultMapPool, csv: bool) {
     eprintln!(
         "running high-voltage campaign: {} workloads x {} instructions ({})",
         params.workloads.len(),
         params.instructions,
-        executor_label(serial),
+        executor_label(),
     );
-    let study = HighVoltageStudy::run_with_pool(params, pool, serial);
+    let study = HighVoltageStudy::run_with_pool(params, pool, false);
     emit(out, &study.figure11(), csv);
     emit(out, &study.figure12(), csv);
 }
@@ -565,7 +541,6 @@ fn run_yield(
     params: &YieldParams,
     checkpoint: Option<&str>,
     csv: bool,
-    serial: bool,
 ) -> Result<(), String> {
     // Every scale runs through the streaming fleet executor: its shard
     // aggregation is byte-identical to the materializing `YieldStudy` (pinned
@@ -581,15 +556,14 @@ fn run_yield(
         100.0 * params.min_capacity,
         fleet.shard_count(),
         fleet.shard_dies,
-        executor_label(serial),
+        executor_label(),
     );
     let study = match checkpoint {
         Some(dir) => {
             eprintln!("checkpointing shards to {dir} (fingerprint {:016x})", fleet.fingerprint());
-            FleetStudy::run_checkpointed(&fleet, std::path::Path::new(dir), !serial)
+            FleetStudy::run_checkpointed(&fleet, std::path::Path::new(dir), true)
                 .map_err(|e| format!("checkpoint directory {dir}: {e}"))?
         }
-        None if serial => FleetStudy::run(&fleet),
         None => FleetStudy::run_parallel(&fleet),
     };
     let summary = study.vccmin_summary();
@@ -616,12 +590,8 @@ fn print_summary_diagnostics(summary: &FigureTable) {
     }
 }
 
-fn executor_label(serial: bool) -> String {
-    if serial {
-        "serial".to_string()
-    } else {
-        format!("parallel on {} threads", rayon::current_num_threads())
-    }
+fn executor_label() -> String {
+    format!("{} worker thread(s)", rayon::current_num_threads())
 }
 
 fn main() -> ExitCode {
@@ -634,7 +604,6 @@ fn main() -> ExitCode {
     };
     let p = &options.params;
     let csv = options.csv;
-    let serial = options.serial;
     let mut sink: Box<dyn Write> = match &options.out {
         Some(path) => match File::create(path) {
             Ok(file) => Box::new(std::io::BufWriter::new(file)),
@@ -658,22 +627,16 @@ fn main() -> ExitCode {
         "cores" => print_cores(out),
         "analysis" => run_analysis(out, csv),
         "fig8" | "fig9" | "fig10" | "lowvolt" => {
-            run_lowvolt(out, p, &FaultMapPool::new(p), csv, serial);
+            run_lowvolt(out, p, &FaultMapPool::new(p), csv);
         }
         "fig11" | "fig12" | "highvolt" => {
-            run_highvolt(out, p, &FaultMapPool::new(p), csv, serial);
+            run_highvolt(out, p, &FaultMapPool::new(p), csv);
         }
-        "schemes" => run_schemes(out, p, &FaultMapPool::new(p), csv, serial, options.scheme),
-        "governor" => run_governor(out, p, &FaultMapPool::new(p), csv, serial),
-        "core-matrix" => run_core_matrix(out, p, &FaultMapPool::new(p), csv, serial),
+        "schemes" => run_schemes(out, p, &FaultMapPool::new(p), csv, options.scheme),
+        "governor" => run_governor(out, p, &FaultMapPool::new(p), csv),
+        "core-matrix" => run_core_matrix(out, p, &FaultMapPool::new(p), csv),
         "yield" => {
-            if let Err(e) = run_yield(
-                out,
-                &options.yield_params,
-                options.checkpoint.as_deref(),
-                csv,
-                serial,
-            ) {
+            if let Err(e) = run_yield(out, &options.yield_params, options.checkpoint.as_deref(), csv) {
                 eprintln!("{e}");
                 return ExitCode::FAILURE;
             }
@@ -684,17 +647,11 @@ fn main() -> ExitCode {
             // generated once here instead of once per campaign.
             let pool = FaultMapPool::new(p);
             run_analysis(out, csv);
-            run_lowvolt(out, p, &pool, csv, serial);
-            run_highvolt(out, p, &pool, csv, serial);
-            run_schemes(out, p, &pool, csv, serial, None);
-            run_governor(out, p, &pool, csv, serial);
-            if let Err(e) = run_yield(
-                out,
-                &options.yield_params,
-                options.checkpoint.as_deref(),
-                csv,
-                serial,
-            ) {
+            run_lowvolt(out, p, &pool, csv);
+            run_highvolt(out, p, &pool, csv);
+            run_schemes(out, p, &pool, csv, None);
+            run_governor(out, p, &pool, csv);
+            if let Err(e) = run_yield(out, &options.yield_params, options.checkpoint.as_deref(), csv) {
                 eprintln!("{e}");
                 return ExitCode::FAILURE;
             }

@@ -37,12 +37,12 @@
 use std::io;
 use std::path::Path;
 
-use rayon::prelude::*;
 use vccmin_analysis::quantile::GridQuantileSketch;
 use vccmin_cache::repair::{registry, RepairScheme};
 use vccmin_fault::{DieVariation, FaultMap};
 
 use crate::checkpoint::{fnv1a64, CheckpointStore, ShardRecord};
+use crate::map_jobs;
 use crate::report::FigureTable;
 use crate::yield_study::{vccmin_summary_table, yield_curve_table, YieldParams, YieldStudy};
 
@@ -131,25 +131,15 @@ pub struct FleetStudy {
 }
 
 impl FleetStudy {
-    /// Runs the campaign serially, streaming shard by shard.
-    #[must_use]
-    pub fn run(params: &FleetParams) -> Self {
-        Self::run_plain(params, false)
-    }
-
-    /// Runs the campaign with one parallel job per shard. Bit-identical to
-    /// [`FleetStudy::run`]: every shard's seeds are derived from its die
-    /// range alone, and integer histogram merging is order-independent.
+    /// Runs the campaign on the rayon pool, one job per shard. Every shard's
+    /// seeds are derived from its die range alone, and integer histogram
+    /// merging is order-independent, so the worker count never changes a bit.
     #[must_use]
     pub fn run_parallel(params: &FleetParams) -> Self {
-        Self::run_plain(params, true)
-    }
-
-    fn run_plain(params: &FleetParams, parallel: bool) -> Self {
         let grid = params.yields.voltage_grid();
         let schemes = registry();
         let indices: Vec<u64> = (0..params.shard_count() as u64).collect();
-        let records = compute_shards(params, &grid, &schemes, indices, parallel);
+        let records = map_jobs(indices, false, |s| compute_shard(params, &grid, &schemes, s));
         Self::aggregate(params, grid, records)
     }
 
@@ -158,7 +148,8 @@ impl FleetStudy {
     /// instead of recomputed, freshly computed shards are persisted before the
     /// campaign aggregates, and the final aggregate is byte-identical to an
     /// uninterrupted run's. Invalid, truncated or foreign-parameter shard
-    /// files are treated as missing and recomputed.
+    /// files are treated as missing and recomputed. `parallel` runs the
+    /// missing shards on the rayon pool instead of the calling thread.
     ///
     /// # Errors
     ///
@@ -190,12 +181,7 @@ impl FleetStudy {
             store.save(&fresh)?;
             Ok(fresh)
         };
-        let fresh: Vec<io::Result<ShardRecord>> = if parallel {
-            missing.into_par_iter().map(&step).collect()
-        } else {
-            missing.into_iter().map(step).collect()
-        };
-        for result in fresh {
+        for result in map_jobs(missing, !parallel, step) {
             let record = result?;
             let slot = record.shard_index as usize;
             records[slot] = Some(record);
@@ -299,28 +285,6 @@ impl FleetStudy {
         } else {
             self.dead[scheme_index] as f64 / self.dies as f64
         }
-    }
-}
-
-/// Computes the given shards, serially or one parallel job per shard. Results
-/// come back in input order either way (the parallel map preserves order).
-fn compute_shards(
-    params: &FleetParams,
-    grid: &[f64],
-    schemes: &[&'static dyn RepairScheme],
-    indices: Vec<u64>,
-    parallel: bool,
-) -> Vec<ShardRecord> {
-    if parallel {
-        indices
-            .into_par_iter()
-            .map(|s| compute_shard(params, grid, schemes, s))
-            .collect()
-    } else {
-        indices
-            .into_iter()
-            .map(|s| compute_shard(params, grid, schemes, s))
-            .collect()
     }
 }
 
@@ -451,8 +415,8 @@ mod tests {
         // The tentpole invariant: binary-searched, sharded, streaming
         // aggregation reproduces the per-die linear scan exactly.
         let params = tiny();
-        let fleet = FleetStudy::run(&params);
-        let study = YieldStudy::run(&params.yields);
+        let fleet = FleetStudy::run_parallel(&params);
+        let study = YieldStudy::run_parallel(&params.yields);
         let (hist, dead) = study.min_voltage_histogram();
         assert_eq!(fleet.hist, hist);
         assert_eq!(fleet.dead, dead);
@@ -462,8 +426,8 @@ mod tests {
     #[test]
     fn fleet_reports_are_byte_identical_to_the_study_reports() {
         let params = tiny();
-        let fleet = FleetStudy::run(&params);
-        let study = YieldStudy::run(&params.yields);
+        let fleet = FleetStudy::run_parallel(&params);
+        let study = YieldStudy::run_parallel(&params.yields);
         assert_eq!(fleet.yield_curve().to_csv(), study.yield_curve().to_csv());
         assert_eq!(
             fleet.vccmin_summary().to_csv(),
@@ -473,20 +437,26 @@ mod tests {
 
     #[test]
     fn parallel_is_bit_identical_to_serial() {
+        // The checkpointed executor with `parallel = false` maps the same
+        // shard jobs on the calling thread.
         let params = tiny();
-        assert_eq!(FleetStudy::run(&params), FleetStudy::run_parallel(&params));
+        let dir = std::env::temp_dir().join(format!("vccmin-fleet-serial-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let serial = FleetStudy::run_checkpointed(&params, &dir, false).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(serial, FleetStudy::run_parallel(&params));
     }
 
     #[test]
     fn shard_size_never_changes_the_aggregate() {
         let base = tiny();
-        let reference = FleetStudy::run(&base);
+        let reference = FleetStudy::run_parallel(&base);
         for shard_dies in [1, 7, 30, 1000] {
             let params = FleetParams {
                 shard_dies,
                 ..base.clone()
             };
-            let study = FleetStudy::run(&params);
+            let study = FleetStudy::run_parallel(&params);
             assert_eq!(study.hist, reference.hist, "shard_dies={shard_dies}");
             assert_eq!(study.dead, reference.dead, "shard_dies={shard_dies}");
         }
@@ -496,8 +466,8 @@ mod tests {
     fn l2_floor_flows_through_the_fleet_path() {
         let mut params = tiny();
         params.yields.include_l2 = true;
-        let fleet = FleetStudy::run(&params);
-        let study = YieldStudy::run(&params.yields);
+        let fleet = FleetStudy::run_parallel(&params);
+        let study = YieldStudy::run_parallel(&params.yields);
         let (hist, dead) = study.min_voltage_histogram();
         assert_eq!(fleet.hist, hist);
         assert_eq!(fleet.dead, dead);
@@ -506,8 +476,8 @@ mod tests {
     #[test]
     fn sketch_reports_the_distribution_exactly() {
         let params = tiny();
-        let fleet = FleetStudy::run(&params);
-        let study = YieldStudy::run(&params.yields);
+        let fleet = FleetStudy::run_parallel(&params);
+        let study = YieldStudy::run_parallel(&params.yields);
         for (i, _) in YieldStudy::scheme_labels().iter().enumerate() {
             let sketch = fleet.sketch(i);
             let alive: u64 = fleet.hist[i].iter().sum();
@@ -552,7 +522,7 @@ mod tests {
 
         // A cold checkpointed run matches the plain run.
         let cold = FleetStudy::run_checkpointed(&params, &dir, false).unwrap();
-        let plain = FleetStudy::run(&params);
+        let plain = FleetStudy::run_parallel(&params);
         assert_eq!(cold.hist, plain.hist);
         assert_eq!(cold.dead, plain.dead);
 
@@ -580,7 +550,7 @@ mod tests {
         let mut other = params.clone();
         other.yields.master_seed ^= 0xdead;
         let fresh = FleetStudy::run_checkpointed(&other, &dir, false).unwrap();
-        assert_eq!(fresh.hist, FleetStudy::run(&other).hist);
+        assert_eq!(fresh.hist, FleetStudy::run_parallel(&other).hist);
 
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -589,7 +559,7 @@ mod tests {
     fn empty_population_is_well_defined() {
         let mut params = tiny();
         params.yields.dies = 0;
-        let fleet = FleetStudy::run(&params);
+        let fleet = FleetStudy::run_parallel(&params);
         assert_eq!(fleet.dies, 0);
         assert_eq!(fleet.dead_fraction(0), 0.0);
         assert_eq!(fleet.sketch(0).total(), 0);

@@ -47,7 +47,7 @@
 //! use vccmin_experiments::simulation::{LowVoltageStudy, SimulationParams};
 //!
 //! let params = SimulationParams::quick();
-//! let study = LowVoltageStudy::run(&params);
+//! let study = LowVoltageStudy::run_parallel(&params);
 //! println!("{}", study.figure8());
 //! ```
 
@@ -98,3 +98,20 @@ pub use simulation::{
 };
 pub use workload::{Workload, WorkloadSource, RISCV_PREFIX};
 pub use yield_study::{DieResult, YieldParams, YieldStudy};
+
+/// Maps `f` over a study's job list and returns the outputs in job order: in
+/// order on the calling thread when `serial`, on the rayon pool otherwise.
+/// Every study executor runs its jobs through this one function, so the two
+/// choices differ only in which threads execute the same job list.
+pub(crate) fn map_jobs<J: Send, R: Send>(
+    jobs: Vec<J>,
+    serial: bool,
+    f: impl Fn(J) -> R + Sync + Send,
+) -> Vec<R> {
+    use rayon::prelude::*;
+    if serial {
+        jobs.into_iter().map(f).collect()
+    } else {
+        jobs.into_par_iter().map(f).collect()
+    }
+}

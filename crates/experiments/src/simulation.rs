@@ -16,7 +16,6 @@
 
 use std::sync::OnceLock;
 
-use rayon::prelude::*;
 use vccmin_analysis::voltage::VoltageScalingModel;
 use vccmin_cache::{
     CacheGeometry, CacheHierarchy, DisablingScheme, FaultMap, HierarchyConfig, VoltageMode,
@@ -26,6 +25,7 @@ use vccmin_fault::SeedSequence;
 use vccmin_workloads::{Benchmark, PhaseSchedule};
 
 use crate::config::{L2Protection, SchemeConfig};
+use crate::map_jobs;
 use crate::governor::{
     run_governed, GovernedRun, GovernedRunSpec, GovernorMetrics, GovernorPolicy,
     TransitionCostModel,
@@ -308,10 +308,8 @@ fn generate_l2_fault_maps(master_seed: u64, pfail: f64, count: usize) -> Vec<Fau
 
 /// The fault maps of one campaign parameter set, generated once and shared.
 ///
-/// Historically every study (and every `run`/`run_parallel` call within a
-/// study) regenerated the same fault-map pairs and L2 maps from
-/// `params.master_seed` — per (config, workload) campaign entry the maps were
-/// identical, only rebuilt. A pool derives them from the same
+/// Every study over one parameter set needs the same fault-map pairs and L2
+/// maps, derived from `params.master_seed`. A pool derives them from the same
 /// [`SeedSequence`] forks exactly once, lazily per cache level (a
 /// high-voltage-only campaign never generates L1 pairs; a perfect-L2 campaign
 /// never generates L2 maps), and hands out shared slices, so campaigns that
@@ -386,9 +384,8 @@ fn trace_seed(params: &SimulationParams, workload: Workload) -> u64 {
 
 /// Simulates one fault-map pair for one (workload, configuration), or `None`
 /// when a repair scheme cannot repair one of the maps (whole-cache failure, on
-/// the L1s or the L2). Both the serial and the parallel executor run every
-/// fault-map evaluation through this single function, which is what makes
-/// their results bit-identical.
+/// the L1s or the L2). Every fault-map evaluation of a campaign, as a pair
+/// job or inside a whole-cell job, runs through this single function.
 fn run_fault_pair(
     params: &SimulationParams,
     cfg: HierarchyConfig,
@@ -413,7 +410,7 @@ fn map_dependent(params: &SimulationParams, scheme: SchemeConfig, voltage: Volta
 /// Whether each fault-map pair of a map-dependent configuration is an
 /// independent unit of work. Configurations whose repaired organization is
 /// identical for every usable map — word-disabling's always-halved cache, on
-/// *both* the L1s and the L2 — are the exception: the serial loop stops after
+/// *both* the L1s and the L2 — are the exception: [`run_config`] stops after
 /// the first usable pair, which makes later pairs depend on the earlier
 /// outcomes.
 fn pairs_independent(params: &SimulationParams, scheme: SchemeConfig) -> bool {
@@ -465,7 +462,7 @@ fn run_config(
     }
 }
 
-/// One unit of parallel work: either a whole (workload, configuration) cell —
+/// One unit of campaign work: either a whole (workload, configuration) cell —
 /// used for fault-independent configurations and for word-disabling, whose
 /// early-exit over fault maps is inherently sequential — or a single fault-map
 /// pair of a block-disabling configuration.
@@ -522,19 +519,20 @@ fn campaign_jobs(
     jobs
 }
 
-/// Runs a campaign over every (workload, configuration) cell in parallel,
-/// fanning out over workload × configuration × fault-map pair.
+/// Runs a campaign over every (workload, configuration) cell, fanning out over
+/// workload × configuration × fault-map pair — on the calling thread when
+/// `serial`, on the rayon pool otherwise.
 ///
 /// Determinism: the fault-map pairs and trace seeds are derived up front from
-/// `params.master_seed` through [`SeedSequence`], every evaluation goes through
-/// the same [`run_fault_pair`]/[`run_config`] code as the serial path, and the
-/// parallel-map executor reassembles results in job order — so the output is
-/// bit-identical to [`run_campaign`] no matter how the jobs are scheduled.
-fn run_campaign_parallel(
+/// `params.master_seed` through [`SeedSequence`], and [`map_jobs`] returns the
+/// outputs in job order, so the result does not depend on the worker count or
+/// on how the jobs are scheduled.
+fn run_campaign(
     params: &SimulationParams,
     pool: &FaultMapPool,
     schemes: &[SchemeConfig],
     voltage: VoltageMode,
+    serial: bool,
 ) -> Vec<BenchmarkResult> {
     debug_assert!(pool.matches(params), "fault-map pool built from different parameters");
     let pairs: &[(FaultMap, FaultMap)] = if voltage == VoltageMode::Low {
@@ -548,29 +546,26 @@ fn run_campaign_parallel(
         &[]
     };
     let jobs = campaign_jobs(params, schemes, voltage, pairs.len());
-    let outputs: Vec<JobOutput> = jobs
-        .into_par_iter()
-        .map(|job| match job {
-            JobSpec::Whole { workload, scheme } => JobOutput::Whole(run_config(
-                params, pairs, l2_maps, workload, scheme, voltage,
-            )),
-            JobSpec::Pair {
+    let outputs = map_jobs(jobs, serial, |job| match job {
+        JobSpec::Whole { workload, scheme } => JobOutput::Whole(run_config(
+            params, pairs, l2_maps, workload, scheme, voltage,
+        )),
+        JobSpec::Pair {
+            workload,
+            scheme,
+            pair_index,
+        } => JobOutput::Pair(
+            run_fault_pair(
+                params,
+                scheme.hierarchy_config_with_l2(voltage, params.l2),
                 workload,
-                scheme,
-                pair_index,
-            } => JobOutput::Pair(
-                run_fault_pair(
-                    params,
-                    scheme.hierarchy_config_with_l2(voltage, params.l2),
-                    workload,
-                    trace_seed(params, workload),
-                    &pairs[pair_index],
-                    l2_maps.get(pair_index),
-                )
-                .map(Box::new),
-            ),
-        })
-        .collect();
+                trace_seed(params, workload),
+                &pairs[pair_index],
+                l2_maps.get(pair_index),
+            )
+            .map(Box::new),
+        ),
+    });
 
     // Reassemble in the same workload × scheme × pair order the jobs were
     // emitted in.
@@ -610,38 +605,6 @@ fn run_campaign_parallel(
         .collect()
 }
 
-/// Runs a campaign serially: the reference implementation the parallel executor
-/// is tested against.
-fn run_campaign(
-    params: &SimulationParams,
-    pool: &FaultMapPool,
-    schemes: &[SchemeConfig],
-    voltage: VoltageMode,
-) -> Vec<BenchmarkResult> {
-    debug_assert!(pool.matches(params), "fault-map pool built from different parameters");
-    let pairs: &[(FaultMap, FaultMap)] = if voltage == VoltageMode::Low {
-        pool.pairs()
-    } else {
-        &[]
-    };
-    let l2_maps: &[FaultMap] = if voltage == VoltageMode::Low {
-        pool.l2_maps_if_needed(params.l2, schemes)
-    } else {
-        &[]
-    };
-    params
-        .workloads
-        .iter()
-        .map(|&workload| BenchmarkResult {
-            workload,
-            configs: schemes
-                .iter()
-                .map(|&scheme| run_config(params, pairs, l2_maps, workload, scheme, voltage))
-                .collect(),
-        })
-        .collect()
-}
-
 /// The low-voltage campaign behind Figures 8, 9 and 10.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LowVoltageStudy {
@@ -660,35 +623,24 @@ impl LowVoltageStudy {
         SchemeConfig::BlockDisablingVictim6T,
     ];
 
-    /// Runs the campaign serially. Kept as the reference implementation;
-    /// [`LowVoltageStudy::run_parallel`] produces bit-identical results faster.
-    #[must_use]
-    pub fn run(params: &SimulationParams) -> Self {
-        Self::run_with_pool(params, &FaultMapPool::new(params), true)
-    }
-
-    /// Runs the campaign on all available cores, fanning out over
-    /// workload × configuration × fault-map pair. Produces bit-identical
-    /// results to [`LowVoltageStudy::run`]: all randomness is derived up front
-    /// from `params.master_seed` via [`SeedSequence`] and results are
-    /// reassembled in job order.
+    /// Runs the campaign on the rayon pool, fanning out over
+    /// workload × configuration × fault-map pair. All randomness is derived
+    /// up front from `params.master_seed` via [`SeedSequence`] and results are
+    /// reassembled in job order, so the worker count never changes a bit.
     #[must_use]
     pub fn run_parallel(params: &SimulationParams) -> Self {
         Self::run_with_pool(params, &FaultMapPool::new(params), false)
     }
 
-    /// Runs the campaign against a shared [`FaultMapPool`] (serially when
-    /// `serial`), reusing maps already generated for another study instead of
-    /// regenerating them. Bit-identical to [`LowVoltageStudy::run`] /
-    /// [`LowVoltageStudy::run_parallel`].
+    /// Runs the campaign against a shared [`FaultMapPool`], reusing maps
+    /// already generated for another study instead of regenerating them.
+    /// `serial` runs the same job list on the calling thread instead of the
+    /// pool; the result is identical either way.
     #[must_use]
     pub fn run_with_pool(params: &SimulationParams, pool: &FaultMapPool, serial: bool) -> Self {
-        let workloads = if serial {
-            run_campaign(params, pool, &Self::SCHEMES, VoltageMode::Low)
-        } else {
-            run_campaign_parallel(params, pool, &Self::SCHEMES, VoltageMode::Low)
-        };
-        Self { workloads }
+        Self {
+            workloads: run_campaign(params, pool, &Self::SCHEMES, VoltageMode::Low, serial),
+        }
     }
 
     /// Figure 8: performance normalized to the baseline *without* victim cache —
@@ -814,34 +766,23 @@ impl HighVoltageStudy {
         SchemeConfig::BlockDisablingVictim10T,
     ];
 
-    /// Runs the campaign serially (no fault maps are needed at high voltage).
-    /// Kept as the reference implementation; [`HighVoltageStudy::run_parallel`]
-    /// produces bit-identical results faster.
-    #[must_use]
-    pub fn run(params: &SimulationParams) -> Self {
-        Self::run_with_pool(params, &FaultMapPool::new(params), true)
-    }
-
-    /// Runs the campaign on all available cores, one job per
-    /// workload × configuration cell. Produces bit-identical results to
-    /// [`HighVoltageStudy::run`].
+    /// Runs the campaign on the rayon pool, one job per
+    /// workload × configuration cell (no fault maps are needed at high
+    /// voltage).
     #[must_use]
     pub fn run_parallel(params: &SimulationParams) -> Self {
         Self::run_with_pool(params, &FaultMapPool::new(params), false)
     }
 
-    /// Runs the campaign against a shared [`FaultMapPool`] (serially when
-    /// `serial`). The high-voltage campaign needs no fault maps, so the pool
-    /// is only consulted, never populated — the signature exists so every
-    /// study in a multi-study session threads the same pool through.
+    /// Runs the campaign against a shared [`FaultMapPool`] (on the calling
+    /// thread when `serial`). The high-voltage campaign needs no fault maps,
+    /// so the pool is only consulted, never populated — the signature exists
+    /// so every study in a multi-study session threads the same pool through.
     #[must_use]
     pub fn run_with_pool(params: &SimulationParams, pool: &FaultMapPool, serial: bool) -> Self {
-        let workloads = if serial {
-            run_campaign(params, pool, &Self::SCHEMES, VoltageMode::High)
-        } else {
-            run_campaign_parallel(params, pool, &Self::SCHEMES, VoltageMode::High)
-        };
-        Self { workloads }
+        Self {
+            workloads: run_campaign(params, pool, &Self::SCHEMES, VoltageMode::High, serial),
+        }
     }
 
     /// Figure 11: high-voltage performance normalized to the baseline without victim
@@ -915,43 +856,23 @@ impl SchemeMatrixStudy {
         DisablingScheme::ALL.map(SchemeConfig::for_scheme)
     }
 
-    /// Runs the full scheme matrix serially.
-    #[must_use]
-    pub fn run(params: &SimulationParams) -> Self {
-        Self::run_with_pool(params, &FaultMapPool::new(params), true)
-    }
-
-    /// Runs the full scheme matrix on all available cores (bit-identical to
-    /// [`SchemeMatrixStudy::run`]).
+    /// Runs the full scheme matrix on the rayon pool.
     #[must_use]
     pub fn run_parallel(params: &SimulationParams) -> Self {
         Self::run_with_pool(params, &FaultMapPool::new(params), false)
     }
 
-    /// Runs the full scheme matrix against a shared [`FaultMapPool`] (serially
-    /// when `serial`). Bit-identical to [`SchemeMatrixStudy::run`] /
-    /// [`SchemeMatrixStudy::run_parallel`].
+    /// Runs the full scheme matrix against a shared [`FaultMapPool`] (on the
+    /// calling thread when `serial`; the result is identical either way).
     #[must_use]
     pub fn run_with_pool(params: &SimulationParams, pool: &FaultMapPool, serial: bool) -> Self {
-        let schemes = Self::matrix_schemes();
-        let workloads = if serial {
-            run_campaign(params, pool, &schemes, VoltageMode::Low)
-        } else {
-            run_campaign_parallel(params, pool, &schemes, VoltageMode::Low)
-        };
-        Self {
-            workloads,
-            schemes: schemes.to_vec(),
-        }
+        let schemes = Self::matrix_schemes().to_vec();
+        let workloads = run_campaign(params, pool, &schemes, VoltageMode::Low, serial);
+        Self { workloads, schemes }
     }
 
-    /// Runs a single scheme (plus the baseline it is normalized to).
-    #[must_use]
-    pub fn run_single(params: &SimulationParams, scheme: SchemeConfig, serial: bool) -> Self {
-        Self::run_single_with_pool(params, &FaultMapPool::new(params), scheme, serial)
-    }
-
-    /// [`SchemeMatrixStudy::run_single`] against a shared [`FaultMapPool`].
+    /// Runs a single scheme (plus the baseline it is normalized to) against a
+    /// shared [`FaultMapPool`].
     #[must_use]
     pub fn run_single_with_pool(
         params: &SimulationParams,
@@ -963,11 +884,7 @@ impl SchemeMatrixStudy {
         if scheme != SchemeConfig::Baseline {
             schemes.push(scheme);
         }
-        let workloads = if serial {
-            run_campaign(params, pool, &schemes, VoltageMode::Low)
-        } else {
-            run_campaign_parallel(params, pool, &schemes, VoltageMode::Low)
-        };
+        let workloads = run_campaign(params, pool, &schemes, VoltageMode::Low, serial);
         Self { workloads, schemes }
     }
 
@@ -1040,22 +957,15 @@ pub struct CoreMatrixStudy {
 }
 
 impl CoreMatrixStudy {
-    /// Runs the matrix on every backend serially.
-    #[must_use]
-    pub fn run(params: &SimulationParams) -> Self {
-        Self::run_with_pool(params, &FaultMapPool::new(params), true)
-    }
-
-    /// Runs the matrix on every backend on all available cores (bit-identical
-    /// to [`CoreMatrixStudy::run`]).
+    /// Runs the matrix on every backend on the rayon pool.
     #[must_use]
     pub fn run_parallel(params: &SimulationParams) -> Self {
         Self::run_with_pool(params, &FaultMapPool::new(params), false)
     }
 
     /// Runs the matrix on every backend against a shared [`FaultMapPool`]
-    /// (serially when `serial`). `params.core` is ignored — the study sweeps
-    /// the core axis itself, in [`CoreModel::ALL`] order.
+    /// (on the calling thread when `serial`). `params.core` is ignored — the
+    /// study sweeps the core axis itself, in [`CoreModel::ALL`] order.
     #[must_use]
     pub fn run_with_pool(params: &SimulationParams, pool: &FaultMapPool, serial: bool) -> Self {
         let cores = CoreModel::ALL
@@ -1232,7 +1142,7 @@ pub struct GovernorStudy {
     pub workloads: Vec<GovernorBenchmarkResult>,
 }
 
-/// One unit of parallel governor work.
+/// One unit of governor work.
 #[derive(Debug, Clone, Copy)]
 struct GovernorJob {
     workload: Workload,
@@ -1284,9 +1194,7 @@ impl GovernorStudy {
         VoltageScalingModel::ispass2010_operating_points()
     }
 
-    /// Runs one governed cell: one (workload, policy, fault-map pair). Both
-    /// executors run every evaluation through this single function, which is
-    /// what makes their results bit-identical.
+    /// Runs one governed cell: one (workload, policy, fault-map pair).
     fn run_cell(
         params: &SimulationParams,
         phases: &PhaseSchedule,
@@ -1331,83 +1239,21 @@ impl GovernorStudy {
         }
     }
 
-    /// Runs the campaign serially. Kept as the reference implementation;
-    /// [`GovernorStudy::run_parallel`] produces bit-identical results faster.
-    #[must_use]
-    pub fn run(params: &SimulationParams) -> Self {
-        Self::run_with_pool(params, &FaultMapPool::new(params), true)
-    }
-
-    /// Runs the campaign on all available cores, fanning out over
-    /// workload × policy × fault-map pair. Bit-identical to
-    /// [`GovernorStudy::run`]: all randomness derives from the master seed and
-    /// results are reassembled in job order.
+    /// Runs the campaign on the rayon pool, fanning out over
+    /// workload × policy × fault-map pair. All randomness derives from the
+    /// master seed and results are reassembled in job order.
     #[must_use]
     pub fn run_parallel(params: &SimulationParams) -> Self {
         Self::run_with_pool(params, &FaultMapPool::new(params), false)
     }
 
-    /// Runs the campaign against a shared [`FaultMapPool`] (serially when
-    /// `serial`). Bit-identical to [`GovernorStudy::run`] /
-    /// [`GovernorStudy::run_parallel`].
+    /// Runs the campaign against a shared [`FaultMapPool`] (on the calling
+    /// thread when `serial`; the result is identical either way).
     #[must_use]
     pub fn run_with_pool(params: &SimulationParams, pool: &FaultMapPool, serial: bool) -> Self {
         debug_assert!(pool.matches(params), "fault-map pool built from different parameters");
         let pairs = pool.pairs();
         let l2_maps = pool.l2_maps_if_needed(params.l2, &[Self::SCHEME]);
-        if serial {
-            Self::run_serial_on(params, pairs, l2_maps)
-        } else {
-            Self::run_parallel_on(params, pairs, l2_maps)
-        }
-    }
-
-    fn run_serial_on(
-        params: &SimulationParams,
-        pairs: &[(FaultMap, FaultMap)],
-        l2_maps: &[FaultMap],
-    ) -> Self {
-        let phases = Self::phase_schedule(params);
-        let workloads = params
-            .workloads
-            .iter()
-            .map(|&workload| GovernorBenchmarkResult {
-                workload,
-                policies: Self::policies(params)
-                    .into_iter()
-                    .map(|policy| {
-                        let outputs: Vec<Option<GovernedRun>> =
-                            if Self::policy_map_dependent(&policy) {
-                                pairs
-                                    .iter()
-                                    .enumerate()
-                                    .map(|(i, pair)| {
-                                        Self::run_cell(
-                                            params,
-                                            &phases,
-                                            workload,
-                                            &policy,
-                                            Some(pair),
-                                            l2_maps.get(i),
-                                        )
-                                    })
-                                    .collect()
-                            } else {
-                                vec![Self::run_cell(params, &phases, workload, &policy, None, None)]
-                            };
-                        Self::collect(policy, outputs)
-                    })
-                    .collect(),
-            })
-            .collect();
-        Self { workloads }
-    }
-
-    fn run_parallel_on(
-        params: &SimulationParams,
-        pairs: &[(FaultMap, FaultMap)],
-        l2_maps: &[FaultMap],
-    ) -> Self {
         let phases = Self::phase_schedule(params);
         let policies = Self::policies(params);
 
@@ -1429,19 +1275,16 @@ impl GovernorStudy {
                 }
             }
         }
-        let outputs: Vec<Option<GovernedRun>> = jobs
-            .into_par_iter()
-            .map(|job| {
-                Self::run_cell(
-                    params,
-                    &phases,
-                    job.workload,
-                    &policies[job.policy_index],
-                    job.pair_index.map(|i| &pairs[i]),
-                    job.pair_index.and_then(|i| l2_maps.get(i)),
-                )
-            })
-            .collect();
+        let outputs = map_jobs(jobs, serial, |job| {
+            Self::run_cell(
+                params,
+                &phases,
+                job.workload,
+                &policies[job.policy_index],
+                job.pair_index.map(|i| &pairs[i]),
+                job.pair_index.and_then(|i| l2_maps.get(i)),
+            )
+        });
 
         // Reassemble in the same workload × policy × pair order the jobs were
         // emitted in.
@@ -1606,7 +1449,7 @@ mod tests {
         let mut params = SimulationParams::smoke();
         params.workloads = vec![Benchmark::Gzip.into(), Benchmark::Mcf.into()];
         params.instructions = 5_000;
-        let serial = GovernorStudy::run(&params);
+        let serial = GovernorStudy::run_with_pool(&params, &FaultMapPool::new(&params), true);
         let parallel = GovernorStudy::run_parallel(&params);
         assert_eq!(serial, parallel);
         assert_eq!(serial.table(), parallel.table());
@@ -1617,7 +1460,7 @@ mod tests {
         let mut params = SimulationParams::smoke();
         params.workloads = vec![Benchmark::Crafty.into()];
         params.instructions = 8_000;
-        let study = GovernorStudy::run(&params);
+        let study = GovernorStudy::run_parallel(&params);
         let table = study.table();
         assert_eq!(table.rows.len(), 1);
         assert_eq!(table.series_labels.len(), 9);
@@ -1701,16 +1544,17 @@ mod tests {
         // CLI's `all` target.
         let pool = FaultMapPool::new(&params);
         let low = LowVoltageStudy::run_with_pool(&params, &pool, false);
-        assert_eq!(low, LowVoltageStudy::run(&params));
+        assert_eq!(low, LowVoltageStudy::run_parallel(&params));
         let high = HighVoltageStudy::run_with_pool(&params, &pool, false);
-        assert_eq!(high, HighVoltageStudy::run(&params));
+        assert_eq!(high, HighVoltageStudy::run_parallel(&params));
         let gov = GovernorStudy::run_with_pool(&params, &pool, false);
-        assert_eq!(gov, GovernorStudy::run(&params));
+        assert_eq!(gov, GovernorStudy::run_parallel(&params));
         let single =
             SchemeMatrixStudy::run_single_with_pool(&params, &pool, SchemeConfig::WordDisabling, false);
+        let unpooled = FaultMapPool::new(&params);
         assert_eq!(
             single,
-            SchemeMatrixStudy::run_single(&params, SchemeConfig::WordDisabling, false)
+            SchemeMatrixStudy::run_single_with_pool(&params, &unpooled, SchemeConfig::WordDisabling, true)
         );
     }
 
@@ -1732,7 +1576,7 @@ mod tests {
         let mut params = SimulationParams::smoke();
         params.workloads = vec![Benchmark::Crafty.into(), Benchmark::Gzip.into()];
         params.instructions = 5_000;
-        let serial = LowVoltageStudy::run(&params);
+        let serial = LowVoltageStudy::run_with_pool(&params, &FaultMapPool::new(&params), true);
         let parallel = LowVoltageStudy::run_parallel(&params);
         assert_eq!(serial, parallel);
         assert_eq!(serial.figure8(), parallel.figure8());
@@ -1743,7 +1587,7 @@ mod tests {
         let mut params = SimulationParams::smoke();
         params.workloads = vec![Benchmark::Mcf.into()];
         params.instructions = 5_000;
-        let serial = HighVoltageStudy::run(&params);
+        let serial = HighVoltageStudy::run_with_pool(&params, &FaultMapPool::new(&params), true);
         let parallel = HighVoltageStudy::run_parallel(&params);
         assert_eq!(serial, parallel);
         assert_eq!(serial.figure11(), parallel.figure11());
@@ -1759,7 +1603,7 @@ mod tests {
         params.instructions = 3_000;
         params.pfail = 0.08;
         params.fault_map_pairs = 4;
-        let serial = LowVoltageStudy::run(&params);
+        let serial = LowVoltageStudy::run_with_pool(&params, &FaultMapPool::new(&params), true);
         let parallel = LowVoltageStudy::run_parallel(&params);
         assert_eq!(serial, parallel);
         let failures: usize = serial
@@ -1780,7 +1624,7 @@ mod tests {
         let mut params = SimulationParams::smoke();
         params.workloads = vec![Benchmark::Gzip.into()];
         params.instructions = 5_000;
-        let serial = SchemeMatrixStudy::run(&params);
+        let serial = SchemeMatrixStudy::run_with_pool(&params, &FaultMapPool::new(&params), true);
         let parallel = SchemeMatrixStudy::run_parallel(&params);
         assert_eq!(serial, parallel);
         let table = serial.table();
@@ -1798,7 +1642,7 @@ mod tests {
         let mut params = SimulationParams::smoke();
         params.workloads = vec![Benchmark::Gzip.into()];
         params.instructions = 3_000;
-        let serial = CoreMatrixStudy::run(&params);
+        let serial = CoreMatrixStudy::run_with_pool(&params, &FaultMapPool::new(&params), true);
         let parallel = CoreMatrixStudy::run_parallel(&params);
         assert_eq!(serial, parallel);
         assert_eq!(serial.cores.len(), CoreModel::ALL.len());
@@ -1807,7 +1651,7 @@ mod tests {
         // The out-of-order entry is exactly the plain scheme matrix (the
         // params' default core), so the new axis cannot drift from the
         // pre-existing study.
-        assert_eq!(serial.cores[0].study, SchemeMatrixStudy::run(&params));
+        assert_eq!(serial.cores[0].study, SchemeMatrixStudy::run_parallel(&params));
         let table = serial.table();
         assert_eq!(table.rows.len(), 1);
         // Two backends x four non-baseline schemes x (avg, min).
@@ -1828,9 +1672,9 @@ mod tests {
         let mut params = SimulationParams::smoke();
         params.workloads = vec![Benchmark::Crafty.into()];
         params.instructions = 3_000;
-        let ooo = SchemeMatrixStudy::run(&params);
+        let ooo = SchemeMatrixStudy::run_parallel(&params);
         params.core = CoreModel::InOrder;
-        let inorder = SchemeMatrixStudy::run(&params);
+        let inorder = SchemeMatrixStudy::run_parallel(&params);
         assert_eq!(ooo.schemes(), inorder.schemes());
         for (a, b) in ooo.workloads.iter().zip(&inorder.workloads) {
             assert_eq!(a.workload, b.workload);
@@ -1849,7 +1693,9 @@ mod tests {
         let mut params = SimulationParams::smoke();
         params.workloads = vec![Benchmark::Mcf.into()];
         params.instructions = 5_000;
-        let study = SchemeMatrixStudy::run_single(&params, SchemeConfig::WaySacrifice, false);
+        let pool = FaultMapPool::new(&params);
+        let study =
+            SchemeMatrixStudy::run_single_with_pool(&params, &pool, SchemeConfig::WaySacrifice, false);
         assert_eq!(
             study.schemes(),
             &[SchemeConfig::Baseline, SchemeConfig::WaySacrifice]
@@ -1859,7 +1705,8 @@ mod tests {
         let avg = table.rows[0].1[0].unwrap();
         let min = table.rows[0].1[1].unwrap();
         assert!(avg > 0.0 && min <= avg + 1e-9);
-        let serial = SchemeMatrixStudy::run_single(&params, SchemeConfig::WaySacrifice, true);
+        let serial =
+            SchemeMatrixStudy::run_single_with_pool(&params, &pool, SchemeConfig::WaySacrifice, true);
         assert_eq!(study, serial, "serial and parallel single-scheme runs agree");
     }
 
@@ -1871,7 +1718,7 @@ mod tests {
         let mut params = SimulationParams::smoke();
         params.workloads = vec![Benchmark::Gzip.into()];
         params.instructions = 8_000;
-        let study = HighVoltageStudy::run(&params);
+        let study = HighVoltageStudy::run_parallel(&params);
         let fig11 = study.figure11();
         assert_eq!(fig11.rows.len(), 1);
         let values = &fig11.rows[0].1;

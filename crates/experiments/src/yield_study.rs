@@ -20,7 +20,7 @@
 //!   drops;
 //! * all randomness derives from [`YieldParams::master_seed`] through
 //!   [`SeedSequence`], and each die is an independent unit of work, so
-//!   [`YieldStudy::run`] and [`YieldStudy::run_parallel`] are bit-identical.
+//!   [`YieldStudy::run_parallel`] gives the same bits on any worker count.
 //!
 //! In the i.i.d. limit (zero systematic variance) the Monte-Carlo yield
 //! converges to the closed forms of `vccmin_analysis::yield_model`; the
@@ -32,10 +32,10 @@
 //! [`crate::fleet`] runs the same per-die probe (bit-identically, by
 //! construction and by test) while holding memory flat at millions of dies.
 
-use rayon::prelude::*;
 use vccmin_cache::repair::{registry, RepairScheme};
 use vccmin_fault::{CacheGeometry, DieVariation, FaultMap, SeedSequence, VariationModel};
 
+use crate::map_jobs;
 use crate::report::FigureTable;
 
 /// Parameters of a yield campaign.
@@ -273,27 +273,6 @@ impl YieldStudy {
         }
     }
 
-    /// Runs the campaign serially. Kept as the reference implementation;
-    /// [`YieldStudy::run_parallel`] produces bit-identical results faster.
-    #[must_use]
-    pub fn run(params: &YieldParams) -> Self {
-        let grid = params.voltage_grid();
-        let schemes = registry();
-        let dies = params
-            .die_seeds()
-            .into_iter()
-            .zip(Self::l2_seed_iter(params))
-            .map(|((die_seed, map_seed), l2_seeds)| {
-                Self::run_die(params, &grid, &schemes, die_seed, map_seed, l2_seeds)
-            })
-            .collect();
-        Self {
-            params: params.clone(),
-            grid,
-            dies,
-        }
-    }
-
     /// One optional L2 seed pair per die: `None`s when the L2 floor is off.
     fn l2_seed_iter(params: &YieldParams) -> Vec<Option<(u64, u64)>> {
         if params.include_l2 {
@@ -303,9 +282,9 @@ impl YieldStudy {
         }
     }
 
-    /// Runs the campaign on all available cores, one job per die. Bit-identical
-    /// to [`YieldStudy::run`]: every seed is derived up front and the
-    /// parallel-map executor reassembles results in die order.
+    /// Runs the campaign on the rayon pool, one job per die, scanning every
+    /// grid voltage per die. Every seed is derived up front and results are
+    /// reassembled in die order, so the worker count never changes a bit.
     #[must_use]
     pub fn run_parallel(params: &YieldParams) -> Self {
         let grid = params.voltage_grid();
@@ -315,12 +294,9 @@ impl YieldStudy {
             .into_iter()
             .zip(Self::l2_seed_iter(params))
             .collect();
-        let dies = jobs
-            .into_par_iter()
-            .map(|((die_seed, map_seed), l2_seeds)| {
-                Self::run_die(params, &grid, &schemes, die_seed, map_seed, l2_seeds)
-            })
-            .collect();
+        let dies = map_jobs(jobs, false, |((die_seed, map_seed), l2_seeds)| {
+            Self::run_die(params, &grid, &schemes, die_seed, map_seed, l2_seeds)
+        });
         Self {
             params: params.clone(),
             grid,
@@ -536,8 +512,23 @@ mod tests {
 
     #[test]
     fn parallel_is_bit_identical_to_serial() {
+        // Reference: every die probed in order on the calling thread.
         let params = tiny();
-        let serial = YieldStudy::run(&params);
+        let grid = params.voltage_grid();
+        let schemes = registry();
+        let dies = params
+            .die_seeds()
+            .into_iter()
+            .zip(YieldStudy::l2_seed_iter(&params))
+            .map(|((die_seed, map_seed), l2)| {
+                YieldStudy::run_die(&params, &grid, &schemes, die_seed, map_seed, l2)
+            })
+            .collect();
+        let serial = YieldStudy {
+            params: params.clone(),
+            grid,
+            dies,
+        };
         let parallel = YieldStudy::run_parallel(&params);
         assert_eq!(serial, parallel);
         assert_eq!(serial.yield_curve(), parallel.yield_curve());
@@ -546,7 +537,7 @@ mod tests {
 
     #[test]
     fn operational_flags_form_a_prefix_and_yield_is_monotone() {
-        let study = YieldStudy::run(&tiny());
+        let study = YieldStudy::run_parallel(&tiny());
         for die in &study.dies {
             for flags in &die.operational {
                 let first_false = flags.iter().take_while(|&&ok| ok).count();
@@ -568,7 +559,7 @@ mod tests {
 
     #[test]
     fn baseline_runs_every_die_to_the_bottom_of_the_grid() {
-        let study = YieldStudy::run(&tiny());
+        let study = YieldStudy::run_parallel(&tiny());
         let bottom = *study.grid.last().unwrap();
         for die in &study.dies {
             // Registry order puts the idealized baseline first.
@@ -582,7 +573,7 @@ mod tests {
         // At the top of the grid (pfail ~ 1e-7) every scheme should be alive;
         // bit-fix must never have a worse Vcc-min than block-disabling on the
         // same die (it dominates block-disabling on every fault map).
-        let study = YieldStudy::run(&YieldParams::smoke());
+        let study = YieldStudy::run_parallel(&YieldParams::smoke());
         let labels = YieldStudy::scheme_labels();
         let block = labels.iter().position(|l| l == "block disabling").unwrap();
         let bitfix = labels.iter().position(|l| l == "bit fix").unwrap();
@@ -595,7 +586,7 @@ mod tests {
 
     #[test]
     fn yield_curve_and_summary_have_the_expected_shape() {
-        let study = YieldStudy::run(&tiny());
+        let study = YieldStudy::run_parallel(&tiny());
         let curve = study.yield_curve();
         assert_eq!(curve.rows.len(), study.grid.len());
         assert_eq!(curve.series_labels.len(), 5);
@@ -617,7 +608,7 @@ mod tests {
 
     #[test]
     fn histogram_recovers_the_per_die_minimum_voltages() {
-        let study = YieldStudy::run(&tiny());
+        let study = YieldStudy::run_parallel(&tiny());
         let (hist, dead) = study.min_voltage_histogram();
         for (i, (counts, &dead_count)) in hist.iter().zip(&dead).enumerate() {
             let total: u64 = counts.iter().sum::<u64>() + dead_count;
@@ -646,7 +637,7 @@ mod tests {
             steps: 2,
             ..tiny()
         };
-        let study = YieldStudy::run(&params);
+        let study = YieldStudy::run_parallel(&params);
         let summary = study.vccmin_summary();
         let labels = YieldStudy::scheme_labels();
         let block = labels.iter().position(|l| l == "block disabling").unwrap();
@@ -679,8 +670,8 @@ mod tests {
             include_l2: true,
             ..base.clone()
         };
-        let a = YieldStudy::run(&base);
-        let b = YieldStudy::run(&with_l2);
+        let a = YieldStudy::run_parallel(&base);
+        let b = YieldStudy::run_parallel(&with_l2);
         assert_eq!(a.dies.len(), b.dies.len());
         for (da, db) in a.dies.iter().zip(&b.dies) {
             for (fa, fb) in da.operational.iter().zip(&db.operational) {
@@ -726,7 +717,7 @@ mod tests {
     #[test]
     fn empty_population_yields_zero_not_nan() {
         let params = YieldParams { dies: 0, ..tiny() };
-        let study = YieldStudy::run(&params);
+        let study = YieldStudy::run_parallel(&params);
         assert_eq!(study.yield_at(0, 0), 0.0);
         let summary = study.vccmin_summary();
         for (_, values) in &summary.rows {
@@ -750,7 +741,7 @@ mod tests {
             variation: VariationModel::iid(PfailVoltageModel::ispass2010()),
             ..YieldParams::quick()
         };
-        let study = YieldStudy::run(&params);
+        let study = YieldStudy::run_parallel(&params);
         let labels = YieldStudy::scheme_labels();
         let block = labels.iter().position(|l| l == "block disabling").unwrap();
         let half_volt = study

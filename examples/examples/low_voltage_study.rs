@@ -36,7 +36,7 @@ fn main() {
         params.fault_map_pairs,
         params.instructions
     );
-    let study = LowVoltageStudy::run(&params);
+    let study = LowVoltageStudy::run_parallel(&params);
 
     println!("{}", study.figure8());
     println!("{}", study.figure9());

@@ -2,9 +2,9 @@
 //!
 //! 1. the quick-scale two-backend core matrix (synthetic + riscv workloads) is
 //!    pinned, byte for byte, to `tests/golden/core_matrix.csv`;
-//! 2. the serial and parallel executors stay bit-identical on the in-order
-//!    path, both for a single-backend scheme matrix and for the full core
-//!    matrix;
+//! 2. the calling-thread and pooled runs of the one executor stay
+//!    bit-identical on the in-order path, both for a single-backend scheme
+//!    matrix and for the full core matrix;
 //! 3. the in-order core is never faster than the out-of-order core on the
 //!    identical trace and fault map — for every repair scheme at both voltage
 //!    modes, across random master seeds — while committing the identical
@@ -25,7 +25,8 @@ use proptest::prelude::*;
 use vccmin_core::cache::{DisablingScheme, VoltageMode};
 use vccmin_core::cpu::CoreModel;
 use vccmin_core::experiments::simulation::{
-    CoreMatrixStudy, HighVoltageStudy, LowVoltageStudy, SchemeMatrixStudy, SimulationParams,
+    CoreMatrixStudy, FaultMapPool, HighVoltageStudy, LowVoltageStudy, SchemeMatrixStudy,
+    SimulationParams,
 };
 use vccmin_core::experiments::{
     run_governed, GovernedRunSpec, GovernorPolicy, SchemeConfig, TransitionCostModel,
@@ -74,12 +75,12 @@ fn core_matrix_snapshot_has_the_expected_shape() {
 #[test]
 fn serial_and_parallel_in_order_campaigns_are_bit_identical() {
     let params = small_params(CoreModel::InOrder, 2010, 5_000);
-    let serial = SchemeMatrixStudy::run(&params);
+    let serial = SchemeMatrixStudy::run_with_pool(&params, &FaultMapPool::new(&params), true);
     let parallel = SchemeMatrixStudy::run_parallel(&params);
     assert_eq!(serial, parallel);
     assert_eq!(serial.table(), parallel.table());
 
-    let matrix_serial = CoreMatrixStudy::run(&params);
+    let matrix_serial = CoreMatrixStudy::run_with_pool(&params, &FaultMapPool::new(&params), true);
     let matrix_parallel = CoreMatrixStudy::run_parallel(&params);
     assert_eq!(matrix_serial, matrix_parallel);
     assert_eq!(matrix_serial.table(), matrix_parallel.table());
@@ -134,13 +135,13 @@ proptest! {
         let inorder = small_params(CoreModel::InOrder, seed, 3_000);
 
         // Below Vcc-min: every repair scheme in the registry.
-        let low_ooo = SchemeMatrixStudy::run(&ooo);
-        let low_inorder = SchemeMatrixStudy::run(&inorder);
+        let low_ooo = SchemeMatrixStudy::run_parallel(&ooo);
+        let low_inorder = SchemeMatrixStudy::run_parallel(&inorder);
         assert_in_order_never_faster(&low_ooo.workloads, &low_inorder.workloads, VoltageMode::Low);
 
         // Nominal voltage: the fault-free configurations.
-        let high_ooo = HighVoltageStudy::run(&ooo);
-        let high_inorder = HighVoltageStudy::run(&inorder);
+        let high_ooo = HighVoltageStudy::run_parallel(&ooo);
+        let high_inorder = HighVoltageStudy::run_parallel(&inorder);
         assert_in_order_never_faster(
             &high_ooo.workloads,
             &high_inorder.workloads,
@@ -152,7 +153,7 @@ proptest! {
 #[test]
 fn pinned_in_order_governor_replays_the_in_order_campaign_bit_for_bit() {
     let params = small_params(CoreModel::InOrder, 42, 6_000);
-    let study = LowVoltageStudy::run(&params);
+    let study = LowVoltageStudy::run_parallel(&params);
     let pairs = params.derived_fault_map_pairs();
     for b in &study.workloads {
         let config = b

@@ -39,6 +39,20 @@ fn fleet_csv(fleet: &FleetStudy) -> String {
     )
 }
 
+/// The fleet campaign on the calling thread: the checkpointed executor with
+/// `parallel = false`, in a scratch directory of its own.
+fn one_worker_fleet(params: &FleetParams) -> FleetStudy {
+    let dir = std::env::temp_dir().join(format!(
+        "vccmin-fleet-one-worker-{}-{}",
+        std::process::id(),
+        params.fingerprint()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let fleet = FleetStudy::run_checkpointed(params, &dir, false).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    fleet
+}
+
 #[test]
 fn fleet_quick_scale_matches_the_golden_snapshot_byte_for_byte() {
     let fleet = FleetStudy::run_parallel(&FleetParams::new(YieldParams::quick()));
@@ -58,13 +72,13 @@ fn fleet_is_byte_identical_to_the_study_across_scales_and_shard_sizes() {
             ..YieldParams::smoke()
         };
         let study = YieldStudy::run_parallel(&yields);
-        for executor in ["serial", "parallel"] {
+        for executor in ["one worker", "pool"] {
             let params = FleetParams {
                 yields: yields.clone(),
                 shard_dies,
             };
-            let fleet = if executor == "serial" {
-                FleetStudy::run(&params)
+            let fleet = if executor == "one worker" {
+                one_worker_fleet(&params)
             } else {
                 FleetStudy::run_parallel(&params)
             };
@@ -89,7 +103,7 @@ fn interrupted_checkpoint_campaign_resumes_bit_identically() {
     let dir = std::env::temp_dir().join(format!("vccmin-fleet-resume-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    let uninterrupted = FleetStudy::run(&params);
+    let uninterrupted = FleetStudy::run_parallel(&params);
 
     // "Interrupt" a campaign by seeding the directory with only a prefix of
     // its shards, one of them torn mid-write (truncated) and one corrupted.
@@ -177,10 +191,10 @@ proptest! {
             ..YieldParams::quick()
         };
         // Linear-scan reference: probe every grid voltage per die.
-        let study = YieldStudy::run(&yields);
+        let study = YieldStudy::run_parallel(&yields);
         let (hist, dead) = study.min_voltage_histogram();
         // Binary-searched fleet executor over the same population.
-        let fleet = FleetStudy::run(&FleetParams { yields, shard_dies });
+        let fleet = FleetStudy::run_parallel(&FleetParams { yields, shard_dies });
         prop_assert_eq!(&fleet.hist, &hist);
         prop_assert_eq!(&fleet.dead, &dead);
         prop_assert_eq!(fleet_csv(&fleet), study_csv(&study));

@@ -7,9 +7,10 @@
 //! pins the two post-paper schemes (bit-fix, way-sacrifice) the same way.
 //!
 //! Every campaign below derives all randomness from `SimulationParams::quick()`'s
-//! fixed master seed, and the parallel executor is bit-identical to the serial
-//! reference by construction (see `serial_parallel_equivalence.rs`), so the
-//! snapshots are stable across machines and thread counts.
+//! fixed master seed, and each study's one executor reassembles its jobs in
+//! job order whatever the worker count (see `serial_parallel_equivalence.rs`
+//! and `campaign_oracle.rs`), so the snapshots are stable across machines and
+//! thread counts.
 //!
 //! If a change *intentionally* alters results, regenerate the snapshots with:
 //!

@@ -55,7 +55,7 @@ fn pinned_run(
 #[test]
 fn pinned_low_governor_is_bit_identical_to_the_low_voltage_study() {
     let params = small_params(vec![Benchmark::Crafty, Benchmark::Swim], 6_000);
-    let study = LowVoltageStudy::run(&params);
+    let study = LowVoltageStudy::run_parallel(&params);
     let pairs = params.derived_fault_map_pairs();
     for b in &study.workloads {
         let config = b
@@ -79,7 +79,7 @@ fn pinned_low_governor_is_bit_identical_to_the_low_voltage_study() {
 #[test]
 fn pinned_nominal_governor_is_bit_identical_to_the_high_voltage_study() {
     let params = small_params(vec![Benchmark::Mcf, Benchmark::Gzip], 6_000);
-    let study = HighVoltageStudy::run(&params);
+    let study = HighVoltageStudy::run_parallel(&params);
     for b in &study.workloads {
         let config = b
             .config(SchemeConfig::BlockDisabling)

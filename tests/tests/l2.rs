@@ -7,8 +7,9 @@
 //!    L1s and the L2 — is pinned, byte for byte, to
 //!    `tests/golden/l2_schemes.csv` at quick scale;
 //! 3. a fault superset never increases any scheme's L2 capacity;
-//! 4. the serial and parallel executors stay bit-identical with a faulty L2,
-//!    including when word-disabling's whole-cache failure fires on the L2.
+//! 4. the calling-thread and pooled runs of the one executor stay
+//!    bit-identical with a faulty L2, including when word-disabling's
+//!    whole-cache failure fires on the L2.
 //!
 //! Regenerate the golden snapshot (only for an intentional change) with:
 //!
@@ -19,7 +20,9 @@
 
 use vccmin_core::cache::repair::registry;
 use vccmin_core::cache::{CacheGeometry, DisablingScheme, FaultMap};
-use vccmin_core::experiments::simulation::{GovernorStudy, SchemeMatrixStudy, SimulationParams};
+use vccmin_core::experiments::simulation::{
+    FaultMapPool, GovernorStudy, SchemeMatrixStudy, SimulationParams,
+};
 use vccmin_core::experiments::L2Protection;
 use vccmin_core::Benchmark;
 
@@ -66,8 +69,8 @@ fn perfect_l2_campaign_is_bit_identical_to_a_baseline_protected_one() {
     // `Fixed(Baseline)` routes through the full L2 plumbing (scheme resolution,
     // map-dependence tests, job splitting) yet must reproduce the default
     // perfect-L2 campaign exactly, because the baseline scheme ignores faults.
-    let perfect = SchemeMatrixStudy::run(&smoke_params(L2Protection::Perfect));
-    let baseline = SchemeMatrixStudy::run(&smoke_params(L2Protection::Fixed(
+    let perfect = SchemeMatrixStudy::run_parallel(&smoke_params(L2Protection::Perfect));
+    let baseline = SchemeMatrixStudy::run_parallel(&smoke_params(L2Protection::Fixed(
         DisablingScheme::Baseline,
     )));
     assert_eq!(perfect, baseline);
@@ -78,8 +81,8 @@ fn faulty_l2_costs_performance() {
     // Raw IPC comparison: the block-disabled L2 loses ~40% of its blocks at
     // pfail = 0.001, so no configuration may gain more than out-of-order
     // scheduling noise, and the campaign as a whole must lose ground.
-    let perfect = SchemeMatrixStudy::run(&smoke_params(L2Protection::Perfect));
-    let faulty = SchemeMatrixStudy::run(&smoke_params(L2Protection::Fixed(
+    let perfect = SchemeMatrixStudy::run_parallel(&smoke_params(L2Protection::Perfect));
+    let faulty = SchemeMatrixStudy::run_parallel(&smoke_params(L2Protection::Fixed(
         DisablingScheme::BlockDisabling,
     )));
     let mut perfect_total = 0.0;
@@ -132,7 +135,7 @@ fn serial_and_parallel_stay_bit_identical_with_a_faulty_l2() {
         L2Protection::Matched,
     ] {
         let params = smoke_params(l2);
-        let serial = SchemeMatrixStudy::run(&params);
+        let serial = SchemeMatrixStudy::run_with_pool(&params, &FaultMapPool::new(&params), true);
         let parallel = SchemeMatrixStudy::run_parallel(&params);
         assert_eq!(serial, parallel, "L2 {l2:?}");
         assert_eq!(serial.table(), parallel.table());
@@ -147,7 +150,7 @@ fn l2_whole_cache_failures_are_counted_and_stay_bit_identical() {
     let mut params = smoke_params(L2Protection::Fixed(DisablingScheme::WordDisabling));
     params.pfail = 0.005;
     params.workloads = vec![Benchmark::Swim.into()];
-    let serial = SchemeMatrixStudy::run(&params);
+    let serial = SchemeMatrixStudy::run_with_pool(&params, &FaultMapPool::new(&params), true);
     let parallel = SchemeMatrixStudy::run_parallel(&params);
     assert_eq!(serial, parallel);
     let failures: usize = serial
@@ -167,10 +170,10 @@ fn l2_whole_cache_failures_are_counted_and_stay_bit_identical() {
 fn governor_with_protected_l2_stays_bit_identical_and_charges_more_per_switch() {
     let perfect = smoke_params(L2Protection::Perfect);
     let protected = smoke_params(L2Protection::Fixed(DisablingScheme::BlockDisabling));
-    let serial = GovernorStudy::run(&protected);
+    let serial = GovernorStudy::run_with_pool(&protected, &FaultMapPool::new(&protected), true);
     let parallel = GovernorStudy::run_parallel(&protected);
     assert_eq!(serial, parallel);
-    let reference = GovernorStudy::run(&perfect);
+    let reference = GovernorStudy::run_parallel(&perfect);
     for (p, f) in reference.workloads.iter().zip(&serial.workloads) {
         // Policy index 2 is the interval policy: it transitions, so the
         // block-disabled L2 must charge its per-set reconfiguration on top of

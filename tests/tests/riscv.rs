@@ -3,7 +3,8 @@
 //!
 //! 1. the quick-scale scheme matrix over the four RV32IM kernels is pinned,
 //!    byte for byte, to `tests/golden/riscv_schemes.csv`;
-//! 2. the serial and parallel executors stay bit-identical on riscv campaigns;
+//! 2. the calling-thread and pooled runs of the one executor stay
+//!    bit-identical on riscv campaigns;
 //! 3. the governor runs a riscv kernel end to end, and its pinned-mode runs
 //!    replay the single-mode campaign bit for bit (the same strict
 //!    generalization the synthetic workloads pin in `governor.rs`);
@@ -19,7 +20,9 @@
 //! ```
 
 use vccmin_core::cache::{DisablingScheme, VoltageMode};
-use vccmin_core::experiments::simulation::{LowVoltageStudy, SchemeMatrixStudy, SimulationParams};
+use vccmin_core::experiments::simulation::{
+    FaultMapPool, LowVoltageStudy, SchemeMatrixStudy, SimulationParams,
+};
 use vccmin_core::experiments::{
     run_governed, GovernedRunSpec, GovernorPolicy, GovernorStudy, SchemeConfig,
     TransitionCostModel, Workload,
@@ -61,11 +64,11 @@ fn riscv_golden_snapshot_has_the_expected_shape() {
 #[test]
 fn serial_and_parallel_riscv_campaigns_are_bit_identical() {
     let params = small_riscv_params(vec![RvKernel::Matmul, RvKernel::HashJoin], 8_000);
-    let serial = SchemeMatrixStudy::run(&params);
+    let serial = SchemeMatrixStudy::run_with_pool(&params, &FaultMapPool::new(&params), true);
     let parallel = SchemeMatrixStudy::run_parallel(&params);
     assert_eq!(serial, parallel);
     assert_eq!(serial.table(), parallel.table());
-    let gov_serial = GovernorStudy::run(&params);
+    let gov_serial = GovernorStudy::run_with_pool(&params, &FaultMapPool::new(&params), true);
     let gov_parallel = GovernorStudy::run_parallel(&params);
     assert_eq!(gov_serial, gov_parallel);
 }
@@ -80,7 +83,7 @@ fn mixed_synthetic_and_riscv_campaigns_run_side_by_side() {
         ],
         ..SimulationParams::smoke()
     };
-    let study = LowVoltageStudy::run(&params);
+    let study = LowVoltageStudy::run_parallel(&params);
     assert_eq!(study.workloads.len(), 2);
     for b in &study.workloads {
         let v = b.normalized_mean(SchemeConfig::BlockDisabling, SchemeConfig::Baseline);
@@ -96,7 +99,7 @@ fn mixed_synthetic_and_riscv_campaigns_run_side_by_side() {
 fn pinned_governor_on_a_riscv_kernel_replays_the_campaign_bit_for_bit() {
     let params = small_riscv_params(vec![RvKernel::Compress], 8_000);
     let workload = params.workloads[0];
-    let study = LowVoltageStudy::run(&params);
+    let study = LowVoltageStudy::run_parallel(&params);
     let config = study.workloads[0]
         .config(SchemeConfig::BlockDisabling)
         .expect("the study evaluates block-disabling");

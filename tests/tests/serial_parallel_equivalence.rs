@@ -1,20 +1,26 @@
-//! Proves that the parallel campaign executor reproduces the serial campaign
-//! exactly — same `BenchmarkResult`s, same rendered figure tables — at the
-//! scale of `SimulationParams::quick()` (all 26 benchmarks, 5 fault-map
-//! pairs). The instruction count is reduced so the double campaign stays
-//! test-suite friendly; the fan-out shape (benchmark × configuration ×
-//! fault-map pair) is exactly the `quick()` one.
+//! Proves that each study's one executor gives the same result on the
+//! calling thread (`run_with_pool(.., true)`) as on the rayon pool
+//! (`run_parallel`) — same `BenchmarkResult`s, same rendered figure tables —
+//! at the scale of `SimulationParams::quick()` (all 26 benchmarks, 5
+//! fault-map pairs). The instruction count is reduced so the double campaign
+//! stays test-suite friendly; the fan-out shape (benchmark × configuration ×
+//! fault-map pair) is exactly the `quick()` one. The independent oracle that
+//! rebuilds the results from the layers' public calls lives in
+//! `campaign_oracle.rs`.
 
+use vccmin_core::experiments::fleet::{FleetParams, FleetStudy};
 use vccmin_core::experiments::simulation::{
-    GovernorStudy, HighVoltageStudy, LowVoltageStudy, SchemeMatrixStudy, SimulationParams,
+    FaultMapPool, GovernorStudy, HighVoltageStudy, LowVoltageStudy, SchemeMatrixStudy,
+    SimulationParams,
 };
 use vccmin_core::experiments::yield_study::{YieldParams, YieldStudy};
 
-// On single-CPU machines the parallel executor degenerates to one worker; CI
-// exports RAYON_NUM_THREADS=4 (read at pool setup by both the vendored shim
-// and the real rayon) so these tests exercise genuinely concurrent execution
-// there. Setting the variable from inside the tests would race between
-// concurrently scheduled tests and be ignored by real rayon's global pool.
+// On single-CPU machines the pool degenerates to one worker; CI exports
+// RAYON_NUM_THREADS=4 (read at pool setup by both the vendored shim and the
+// real rayon) so these tests compare one worker against a genuinely
+// concurrent pool there. Setting the variable from inside the tests would race
+// between concurrently scheduled tests and be ignored by real rayon's global
+// pool.
 fn quick_scale_params() -> SimulationParams {
     SimulationParams {
         instructions: 4_000,
@@ -28,7 +34,7 @@ fn parallel_low_voltage_study_is_bit_identical_to_serial_at_quick_scale() {
     assert_eq!(params.workloads.len(), 26, "quick() covers all benchmarks");
     assert_eq!(params.fault_map_pairs, 5);
 
-    let serial = LowVoltageStudy::run(&params);
+    let serial = LowVoltageStudy::run_with_pool(&params, &FaultMapPool::new(&params), true);
     let parallel = LowVoltageStudy::run_parallel(&params);
 
     // Structural equality of every SimResult of every fault-map pair…
@@ -48,7 +54,7 @@ fn parallel_low_voltage_study_is_bit_identical_to_serial_at_quick_scale() {
 #[test]
 fn parallel_high_voltage_study_is_bit_identical_to_serial_at_quick_scale() {
     let params = quick_scale_params();
-    let serial = HighVoltageStudy::run(&params);
+    let serial = HighVoltageStudy::run_with_pool(&params, &FaultMapPool::new(&params), true);
     let parallel = HighVoltageStudy::run_parallel(&params);
     assert_eq!(serial, parallel);
     for (s, p) in [
@@ -64,7 +70,7 @@ fn parallel_high_voltage_study_is_bit_identical_to_serial_at_quick_scale() {
 #[test]
 fn parallel_scheme_matrix_study_is_bit_identical_to_serial_at_quick_scale() {
     let params = quick_scale_params();
-    let serial = SchemeMatrixStudy::run(&params);
+    let serial = SchemeMatrixStudy::run_with_pool(&params, &FaultMapPool::new(&params), true);
     let parallel = SchemeMatrixStudy::run_parallel(&params);
     assert_eq!(serial, parallel);
     assert_eq!(serial.schemes(), parallel.schemes());
@@ -77,7 +83,7 @@ fn parallel_scheme_matrix_study_is_bit_identical_to_serial_at_quick_scale() {
 #[test]
 fn parallel_governor_study_is_bit_identical_to_serial_at_quick_scale() {
     let params = quick_scale_params();
-    let serial = GovernorStudy::run(&params);
+    let serial = GovernorStudy::run_with_pool(&params, &FaultMapPool::new(&params), true);
     let parallel = GovernorStudy::run_parallel(&params);
     // Structural equality of every governed segment of every fault-map pair…
     assert_eq!(serial, parallel);
@@ -90,13 +96,19 @@ fn parallel_governor_study_is_bit_identical_to_serial_at_quick_scale() {
 
 #[test]
 fn parallel_yield_study_is_bit_identical_to_serial_at_quick_scale() {
-    // The yield study fans out over dies; quick() scale is cheap enough to run
+    // The linear-scan yield study fans out over dies on the pool; the fleet's
+    // checkpointed executor with `parallel = false` binary-searches the same
+    // population on the calling thread. quick() scale is cheap enough to run
     // in full (200 dies x 11 grid voltages x 5 schemes).
     let params = YieldParams::quick();
-    let serial = YieldStudy::run(&params);
     let parallel = YieldStudy::run_parallel(&params);
-    // Structural equality of every die result…
-    assert_eq!(serial, parallel);
+    let fleet = FleetParams::new(params);
+    let dir = std::env::temp_dir().join(format!("vccmin-yield-one-worker-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let serial = FleetStudy::run_checkpointed(&fleet, &dir, false).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    // The same per-scheme Vcc-min histogram and dead counts…
+    assert_eq!((serial.hist.clone(), serial.dead.clone()), parallel.min_voltage_histogram());
     // …and byte-identical rendered tables.
     for (s, p) in [
         (serial.yield_curve(), parallel.yield_curve()),
