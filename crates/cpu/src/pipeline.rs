@@ -12,6 +12,29 @@
 //! themselves are not simulated — their primary performance effect (the refill
 //! bubble) is captured, which is sufficient for the relative cache-organization
 //! comparisons the paper makes.
+//!
+//! # Host cost
+//!
+//! The host work per simulated cycle scales with what the cycle does, not with
+//! the size of the reorder buffer:
+//!
+//! - **Sequence-indexed ROB.** Fetch numbers instructions contiguously and the ROB
+//!   holds a contiguous run of them, oldest first, so the entry of sequence `s` is
+//!   `rob[s - oldest_inflight_seq]`. An operand is ready if its producer has
+//!   committed (`s < oldest_inflight_seq`) or its entry has completed — one
+//!   lookup. Each entry records its destination register, so commit clears only
+//!   that rename slot.
+//! - **Issue and completion lists.** `waiting` holds the sequences dispatched but
+//!   not issued, `in_flight` those issued but not completed, both oldest first.
+//!   Issue walks `waiting` oldest first and compacts it in place. Completion runs
+//!   only once the cycle reaches `next_complete`, the earliest completion cycle in
+//!   `in_flight`, and walks `in_flight` only.
+//! - **Idle-cycle skipping.** A cycle that commits, completes, issues, dispatches
+//!   and fetches nothing leaves the machine unchanged, so the cycles after it stay
+//!   idle until a time threshold passes: `next_complete`, the fetch-queue head's
+//!   `ready_at`, or a future `fetch_stall_until`. The loop jumps to the earliest of
+//!   them. Skipped cycles count toward the cycle total and the forward-progress
+//!   watchdog, so every result equals that of stepping one cycle at a time.
 
 use std::collections::VecDeque;
 
@@ -19,7 +42,7 @@ use vccmin_cache::CacheHierarchy;
 
 use crate::branch::{BranchPredictor, FrontEndPredictor};
 use crate::config::CpuConfig;
-use crate::instruction::{OpClass, TraceInstruction, NUM_REGS};
+use crate::instruction::{OpClass, Reg, TraceInstruction, NUM_REGS};
 use crate::result::SimResult;
 
 /// A source of trace instructions for the pipeline.
@@ -54,6 +77,7 @@ enum EntryState {
 struct RobEntry {
     seq: u64,
     op: OpClass,
+    dest: Option<Reg>,
     mem_addr: Option<u64>,
     mispredicted_branch: bool,
     deps: [Option<u64>; 2],
@@ -137,13 +161,16 @@ impl Pipeline {
     ///
     /// # Panics
     ///
-    /// Panics if the simulation stops making forward progress (an internal
-    /// invariant violation).
+    /// Panics if the simulation commits nothing for 1M consecutive cycles (an
+    /// internal invariant violation: the machine has deadlocked). Idle cycles are
+    /// skipped, so a deadlock reaches the panic quickly rather than after a
+    /// million stepped cycles.
     pub fn run(
         &mut self,
         trace: &mut dyn TraceSource,
         max_instructions: Option<u64>,
     ) -> SimResult {
+        const WATCHDOG_CYCLES: u64 = 1_000_000;
         let cfg = self.config;
         let l1i_hit_latency = {
             let hcfg = self.hierarchy.config();
@@ -157,10 +184,17 @@ impl Pipeline {
         let mut loads: u64 = 0;
         let mut stores: u64 = 0;
 
+        // `rob[i]` holds sequence `oldest_inflight_seq + i`.
         let mut rob: VecDeque<RobEntry> = VecDeque::with_capacity(cfg.rob_entries);
         let mut fetch_queue: VecDeque<FetchedInstr> = VecDeque::new();
         let mut pending_fetch: Option<TraceInstruction> = None;
         let mut trace_done = false;
+
+        // Sequences awaiting issue and awaiting completion, oldest first, and the
+        // earliest completion cycle among the latter (`u64::MAX` when none).
+        let mut waiting: Vec<u64> = Vec::with_capacity(cfg.int_iq_entries + cfg.fp_iq_entries);
+        let mut in_flight: Vec<u64> = Vec::with_capacity(cfg.rob_entries);
+        let mut next_complete = u64::MAX;
 
         // Rename table: architectural register -> seq of the in-flight producer.
         let mut reg_producer: [Option<u64>; NUM_REGS] = [None; NUM_REGS];
@@ -201,10 +235,11 @@ impl Pipeline {
             store_batch.clear();
             while commits < cfg.commit_width {
                 match rob.front() {
-                    Some(head) if head.state == EntryState::Completed && head.complete_cycle <= cycle => {}
+                    Some(head) if head.state == EntryState::Completed => {}
                     _ => break,
                 }
                 let Some(head) = rob.pop_front() else { break };
+                debug_assert_eq!(head.seq, oldest_inflight_seq, "the ROB head is the oldest");
                 if head.op.is_mem() {
                     lsq -= 1;
                     if head.op == OpClass::Store {
@@ -218,11 +253,12 @@ impl Pipeline {
                         loads += 1;
                     }
                 }
-                // Clear the rename table if this instruction is still the newest
+                // Clear the rename slot if this instruction is still the newest
                 // producer of its destination register.
-                for r in &mut reg_producer {
-                    if *r == Some(head.seq) {
-                        *r = None;
+                if let Some(dest) = head.dest {
+                    let producer = &mut reg_producer[dest as usize];
+                    if *producer == Some(head.seq) {
+                        *producer = None;
                     }
                 }
                 oldest_inflight_seq = head.seq + 1;
@@ -237,15 +273,23 @@ impl Pipeline {
             // ------------------------------------------------------------------
             // 2. Completion: mark issued instructions whose execution finished.
             // ------------------------------------------------------------------
-            for entry in &mut rob {
-                if entry.state == EntryState::Issued && entry.complete_cycle <= cycle {
+            let completing = cycle >= next_complete;
+            if completing {
+                next_complete = u64::MAX;
+                in_flight.retain(|&seq| {
+                    let entry = &mut rob[(seq - oldest_inflight_seq) as usize];
+                    if entry.complete_cycle > cycle {
+                        next_complete = next_complete.min(entry.complete_cycle);
+                        return true;
+                    }
                     entry.state = EntryState::Completed;
-                    if entry.mispredicted_branch && waiting_branch == Some(entry.seq) {
+                    if entry.mispredicted_branch && waiting_branch == Some(seq) {
                         // The branch resolved: the front end may restart next cycle.
                         waiting_branch = None;
                         fetch_stall_until = fetch_stall_until.max(cycle + 1);
                     }
-                }
+                    false
+                });
             }
 
             // ------------------------------------------------------------------
@@ -257,37 +301,21 @@ impl Pipeline {
             let mut fp_alu_used = 0u32;
             let mut fp_mul_used = 0u32;
             let mut mem_ports_used = 0u32;
-            // Collect the completion status needed for dependence checks first to
-            // avoid borrowing issues: a dependence is satisfied if the producer has
-            // already committed (seq < oldest_inflight_seq) or is completed in the ROB.
-            let completed_flags: Vec<(u64, bool)> = rob
-                .iter()
-                .map(|e| (e.seq, e.state == EntryState::Completed && e.complete_cycle <= cycle))
-                .collect();
-            let is_ready = |dep: u64, oldest: u64, flags: &[(u64, bool)]| -> bool {
-                if dep < oldest {
+            waiting.retain(|&seq| {
+                if issued_this_cycle >= cfg.issue_width {
                     return true;
                 }
-                flags
-                    .iter()
-                    .find(|(s, _)| *s == dep)
-                    .is_none_or(|(_, done)| *done)
-            };
-
-            for entry in &mut rob {
-                if issued_this_cycle >= cfg.issue_width {
-                    break;
-                }
-                if entry.state != EntryState::Waiting {
-                    continue;
-                }
-                let deps_ready = entry.deps.iter().all(|d| match d {
-                    Some(dep) => is_ready(*dep, oldest_inflight_seq, &completed_flags),
-                    None => true,
+                let oldest = oldest_inflight_seq;
+                let idx = (seq - oldest) as usize;
+                // A dependence is satisfied once its producer has committed or
+                // completed.
+                let deps_ready = rob[idx].deps.iter().flatten().all(|&dep| {
+                    dep < oldest || rob[(dep - oldest) as usize].state == EntryState::Completed
                 });
                 if !deps_ready {
-                    continue;
+                    return true;
                 }
+                let entry = &mut rob[idx];
                 // Functional-unit availability.
                 let (used, limit): (&mut u32, u32) = match entry.op {
                     OpClass::IntAlu | OpClass::Branch => (&mut int_alu_used, cfg.int_alus),
@@ -297,7 +325,7 @@ impl Pipeline {
                     OpClass::Load | OpClass::Store => (&mut mem_ports_used, cfg.mem_ports),
                 };
                 if *used >= limit {
-                    continue;
+                    return true;
                 }
                 *used += 1;
                 issued_this_cycle += 1;
@@ -314,13 +342,17 @@ impl Pipeline {
                 };
                 entry.state = EntryState::Issued;
                 entry.complete_cycle = cycle + u64::from(latency.max(1));
+                next_complete = next_complete.min(entry.complete_cycle);
+                let at = in_flight.partition_point(|&s| s < seq);
+                in_flight.insert(at, seq);
                 // Leaving the issue queue frees its entry.
                 if entry.op.is_fp() {
                     fp_iq -= 1;
                 } else {
                     int_iq -= 1;
                 }
-            }
+                false
+            });
 
             // ------------------------------------------------------------------
             // 4. Dispatch: move fetched instructions into the ROB / issue queues.
@@ -363,24 +395,28 @@ impl Pipeline {
                 rob.push_back(RobEntry {
                     seq: fetched_instr.seq,
                     op: instr.op,
+                    dest: instr.dest,
                     mem_addr: instr.mem_addr,
                     mispredicted_branch: fetched_instr.mispredicted,
                     deps,
                     state: EntryState::Waiting,
                     complete_cycle: u64::MAX,
                 });
+                waiting.push(fetched_instr.seq);
                 dispatched += 1;
             }
 
             // ------------------------------------------------------------------
             // 5. Fetch: pull new instructions from the trace.
             // ------------------------------------------------------------------
+            let mut fetch_active = false;
             if waiting_branch.is_none() && cycle >= fetch_stall_until && !trace_done {
                 let mut fetched_this_cycle = 0;
                 while fetched_this_cycle < cfg.fetch_width
                     && fetch_queue.len() < fetch_buffer_capacity
                     && fetched < fetch_limit
                 {
+                    fetch_active = true;
                     let instr = match pending_fetch.take() {
                         Some(i) => i,
                         None => match trace.next_instruction() {
@@ -438,9 +474,18 @@ impl Pipeline {
                     }
                 }
                 if fetched >= fetch_limit {
+                    fetch_active |= !trace_done;
                     trace_done = true;
                 }
             }
+
+            // Cheap structural invariants of the lists above.
+            debug_assert!(waiting.is_sorted_by(|a, b| a < b), "waiting is oldest first");
+            debug_assert!(in_flight.is_sorted_by(|a, b| a < b), "in_flight is oldest first");
+            debug_assert_eq!(int_iq + fp_iq, waiting.len(), "every waiting entry holds an IQ slot");
+            debug_assert!(in_flight
+                .iter()
+                .all(|&s| next_complete <= rob[(s - oldest_inflight_seq) as usize].complete_cycle));
 
             // ------------------------------------------------------------------
             // Termination and watchdog.
@@ -453,10 +498,30 @@ impl Pipeline {
                 last_progress_cycle = cycle;
             }
             assert!(
-                cycle - last_progress_cycle < 1_000_000,
-                "pipeline made no forward progress for 1M cycles (deadlock?)"
+                cycle - last_progress_cycle < WATCHDOG_CYCLES,
+                "pipeline made no forward progress for 1M cycles (deadlock?) at cycle {cycle}"
             );
-            cycle += 1;
+
+            let idle = commits == 0
+                && !completing
+                && issued_this_cycle == 0
+                && dispatched == 0
+                && !fetch_active;
+            cycle = if idle {
+                // Nothing changed, so nothing will until the next completion, the
+                // fetch-queue head reaching dispatch, or the front-end stall
+                // ending. Jump there, but no further than the watchdog's bound.
+                let mut next = next_complete.min(last_progress_cycle + WATCHDOG_CYCLES);
+                if let Some(front) = fetch_queue.front().filter(|f| f.ready_at > cycle) {
+                    next = next.min(front.ready_at);
+                }
+                if fetch_stall_until > cycle {
+                    next = next.min(fetch_stall_until);
+                }
+                next
+            } else {
+                cycle + 1
+            };
         }
 
         SimResult {
@@ -663,6 +728,25 @@ mod tests {
         assert_eq!(r.instructions, 1_500);
         // Well-nested call/return pairs should be predicted almost perfectly.
         assert!(r.branch_mispredictions < 10);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "pipeline made no forward progress for 1M cycles (deadlock?) at cycle 1000000"
+    )]
+    fn a_machine_that_can_never_dispatch_trips_the_watchdog_at_its_bound() {
+        // With no load/store-queue entries the first load can never dispatch,
+        // so nothing ever commits. The idle cycles are skipped, yet the
+        // watchdog still fires exactly 1M cycles after the last progress.
+        let config = CpuConfig {
+            lsq_entries: 0,
+            ..CpuConfig::ispass2010()
+        };
+        let trace: Vec<_> = (0..100)
+            .map(|i| TraceInstruction::load(0x1000 + i * 4, 0x10_0000 + i * 64, 2))
+            .collect();
+        let hierarchy = CacheHierarchy::new(HierarchyConfig::ispass2010_baseline_high_voltage());
+        Pipeline::new(config, hierarchy).run(&mut trace.into_iter(), None);
     }
 
     #[test]
