@@ -6,8 +6,8 @@
 //! Operation below Vcc-min extends the cubic-power region at the price of a
 //! *sub-linear* performance degradation caused by shrinking usable cache capacity.
 //!
-//! This module reproduces those curves so the example binaries and benches can emit
-//! the same qualitative picture (Figs. 1a and 1b).
+//! This module reproduces those curves so the example binaries and the
+//! `vccmin-repro` CLI can emit the same qualitative picture (Figs. 1a and 1b).
 
 /// A point on the voltage-scaling curves of Fig. 1.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -2,15 +2,15 @@
 //! point: the perfect-L2 hierarchy against repair-protected (faulty) L2
 //! organizations, at high and low voltage.
 //!
-//! Besides the criterion timings, the bench emits a machine-readable baseline
-//! (`BENCH_hierarchy.json` at the workspace root) so future optimization work
-//! on the access path has a pinned starting point: one entry per
-//! configuration with the median/min ns-per-access over the sample set.
+//! The bench emits a machine-readable baseline (`BENCH_hierarchy.json` at the
+//! workspace root) so future optimization work on the access path has a
+//! pinned starting point: one entry per configuration with the median/min
+//! ns-per-access over the sample set.
 //!
 //! Modes (flags after `--` on the cargo command line):
 //!
-//! - default: criterion timings + rewrite of the `BENCH_hierarchy.json`
-//!   baseline (run this only on a quiet machine, deliberately).
+//! - default: measure and rewrite the `BENCH_hierarchy.json` baseline (run
+//!   this only on a quiet machine, deliberately).
 //! - `--test`: one correctness pass per configuration, no timing, no baseline
 //!   rewrite. The CI smoke mode.
 //! - `--gate`: measure and compare against the pinned baseline; fails loudly
@@ -19,11 +19,10 @@
 //!   minimum is the gated statistic). Never rewrites the baseline. The CI
 //!   perf-gate mode.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use vccmin_core::cache::{
+use vccmin_cache::{
     AccessResult, CacheGeometry, CacheHierarchy, DisablingScheme, FaultMap, HierarchyConfig,
     VoltageMode,
 };
@@ -240,7 +239,7 @@ fn run_gate(stream: &[(u64, bool)]) {
     println!("gate: all configurations within {:.0}% of baseline", 100.0 * GATE_TOLERANCE);
 }
 
-fn bench_hierarchy_access(c: &mut Criterion) {
+fn main() {
     let stream = address_stream();
     // `-- --test` (the CI smoke mode): one correctness pass per configuration,
     // no timing loops, and — crucially — no rewrite of the pinned
@@ -259,21 +258,5 @@ fn bench_hierarchy_access(c: &mut Criterion) {
         run_gate(&stream);
         return;
     }
-    // Take the baseline measurements for every configuration first, so the
-    // criterion timing loops (long, and irrelevant to the pinned numbers)
-    // cannot heat the machine mid-measurement.
-    let measurements = measure_all(&stream);
-    let mut group = c.benchmark_group("hierarchy_access_data");
-    group.sample_size(SAMPLES).measurement_time(Duration::from_secs(10));
-    for (name, mut hierarchy) in hierarchies() {
-        let mut results = Vec::with_capacity(stream.len());
-        group.bench_function(name, |b| {
-            b.iter(|| black_box(run_stream(&mut hierarchy, &stream, &mut results)))
-        });
-    }
-    group.finish();
-    write_baseline(&measurements);
+    write_baseline(&measure_all(&stream));
 }
-
-criterion_group!(benches, bench_hierarchy_access);
-criterion_main!(benches);

@@ -55,6 +55,11 @@
 //!               (progress and summaries stay on stderr either way)
 //! ```
 //!
+//! A target rejects (exit 1, naming the flag) every target-specific flag it
+//! does not read, e.g. `yield --pairs 3` or `highvolt --pfail 0.01`; the
+//! applicability table is `FLAG_TARGETS`. `--instructions`, `--pairs` and
+//! `--dies` must be at least 1.
+//!
 //! Simulation campaigns run on the rayon pool: all cores by default, one
 //! worker on the calling thread with `RAYON_NUM_THREADS=1`. The output is
 //! byte-identical for every worker count.
@@ -75,6 +80,60 @@ use vccmin_experiments::fleet::{FleetParams, FleetStudy};
 use vccmin_experiments::yield_study::YieldParams;
 use vccmin_experiments::{L2Protection, OverheadTable, SchemeConfig, Workload};
 use vccmin_cache::DisablingScheme;
+
+/// The trace-driven simulation campaigns.
+const TRACE_DRIVEN: &[&str] = &[
+    "schemes", "lowvolt", "highvolt", "governor", "core-matrix", "all", "fig8", "fig9", "fig10",
+    "fig11", "fig12",
+];
+/// The campaigns that simulate one backend: `core-matrix` sweeps every backend
+/// itself.
+const SINGLE_BACKEND: &[&str] = &[
+    "schemes", "lowvolt", "highvolt", "governor", "all", "fig8", "fig9", "fig10", "fig11", "fig12",
+];
+/// The campaigns that run below Vcc-min on fault maps; the high-voltage
+/// campaign (`highvolt`, `fig11`, `fig12`) generates none.
+const FAULT_MAPPED: &[&str] =
+    &["schemes", "lowvolt", "governor", "core-matrix", "all", "fig8", "fig9", "fig10"];
+/// Every simulation study: the trace-driven campaigns and the `yield` fleet.
+const STUDIES: &[&str] = &[
+    "schemes", "lowvolt", "highvolt", "governor", "core-matrix", "yield", "all", "fig8", "fig9",
+    "fig10", "fig11", "fig12",
+];
+/// The die-population study.
+const FLEET: &[&str] = &["yield", "all"];
+
+/// Which targets read each target-specific flag; every other target rejects
+/// it. `yield`'s per-die pass criterion is capacity-based and runs no trace,
+/// so it reads none of the trace-driven flags. `--csv`, `--out` and `--smoke`
+/// are read by every target that prints a table.
+const FLAG_TARGETS: [(&str, &[&str]); 10] = [
+    ("--workload", TRACE_DRIVEN),
+    ("--instructions", TRACE_DRIVEN),
+    ("--core", SINGLE_BACKEND),
+    ("--pairs", FAULT_MAPPED),
+    ("--pfail", FAULT_MAPPED),
+    ("--scheme", &["schemes"]),
+    ("--l2-scheme", STUDIES),
+    ("--seed", STUDIES),
+    ("--dies", FLEET),
+    ("--checkpoint", FLEET),
+];
+
+/// Parses the value of a count flag (`--instructions`, `--pairs`, `--dies`).
+/// Zero is rejected: a campaign with nothing to simulate would print all-zero
+/// tables that read as real results.
+fn parse_count<T>(flag: &str, v: &str) -> Result<T, String>
+where
+    T: std::str::FromStr + Default + PartialEq,
+    T::Err: std::fmt::Display,
+{
+    let n: T = v.parse().map_err(|e| format!("{flag}: bad count {v}: {e}"))?;
+    if n == T::default() {
+        return Err(format!("{flag} must be at least 1, got {v}"));
+    }
+    Ok(n)
+}
 
 struct Options {
     target: String,
@@ -116,7 +175,9 @@ fn parse_args() -> Result<Options, String> {
     let mut out: Option<String> = None;
     let mut checkpoint: Option<String> = None;
     let mut workloads: Option<Vec<Workload>> = None;
+    let mut given = Vec::new();
     while let Some(arg) = args.next() {
+        given.push(arg.clone());
         match arg.as_str() {
             "--workload" => {
                 let v = args.next().ok_or("--workload needs a value")?;
@@ -139,16 +200,15 @@ fn parse_args() -> Result<Options, String> {
             }
             "--instructions" => {
                 let v = args.next().ok_or("--instructions needs a value")?;
-                instructions =
-                    Some(v.parse().map_err(|e| format!("bad instruction count: {e}"))?);
+                instructions = Some(parse_count("--instructions", &v)?);
             }
             "--pairs" => {
                 let v = args.next().ok_or("--pairs needs a value")?;
-                pairs = Some(v.parse().map_err(|e| format!("bad pair count: {e}"))?);
+                pairs = Some(parse_count("--pairs", &v)?);
             }
             "--dies" => {
                 let v = args.next().ok_or("--dies needs a value")?;
-                dies = Some(v.parse().map_err(|e| format!("bad die count: {e}"))?);
+                dies = Some(parse_count("--dies", &v)?);
             }
             "--out" => {
                 out = Some(args.next().ok_or("--out needs a path")?);
@@ -263,56 +323,17 @@ fn parse_args() -> Result<Options, String> {
     if let Some(v) = seed {
         yield_params.master_seed = v;
     }
-    if scheme.is_some() && target != "schemes" {
-        return Err(format!(
-            "--scheme only applies to the `schemes` target\n{}",
-            usage()
-        ));
-    }
-    let l2_targets = [
-        "schemes", "lowvolt", "highvolt", "governor", "core-matrix", "yield", "all", "fig8",
-        "fig9", "fig10", "fig11", "fig12",
-    ];
-    if l2.is_some() && !l2_targets.contains(&target.as_str()) {
-        return Err(format!(
-            "--l2-scheme only applies to the simulation campaigns and `yield`\n{}",
-            usage()
-        ));
-    }
-    let workload_targets = [
-        "schemes", "lowvolt", "highvolt", "governor", "core-matrix", "all", "fig8", "fig9",
-        "fig10", "fig11", "fig12",
-    ];
-    if workloads.is_some() && !workload_targets.contains(&target.as_str()) {
-        return Err(format!(
-            "--workload only applies to the trace-driven simulation campaigns\n{}",
-            usage()
-        ));
-    }
-    // `core-matrix` sweeps every backend itself, and `yield`'s per-die pass
-    // criterion is capacity-based (core-independent), so neither takes --core.
-    let core_targets = [
-        "schemes", "lowvolt", "highvolt", "governor", "all", "fig8", "fig9", "fig10", "fig11",
-        "fig12",
-    ];
-    if core.is_some() && !core_targets.contains(&target.as_str()) {
-        return Err(format!(
-            "--core only applies to the single-backend trace-driven campaigns (`core-matrix` \
-             sweeps every backend itself; the `yield` pass criterion is core-independent)\n{}",
-            usage()
-        ));
-    }
-    if dies.is_some() && target != "yield" && target != "all" {
-        return Err(format!(
-            "--dies only applies to the `yield` (or `all`) target\n{}",
-            usage()
-        ));
-    }
-    if checkpoint.is_some() && target != "yield" && target != "all" {
-        return Err(format!(
-            "--checkpoint only applies to the `yield` (or `all`) target\n{}",
-            usage()
-        ));
+    for flag in &given {
+        let Some((_, targets)) = FLAG_TARGETS.iter().find(|(f, _)| f == flag) else {
+            continue;
+        };
+        if !targets.contains(&target.as_str()) {
+            return Err(format!(
+                "{flag} does not apply to the `{target}` target; it applies to: {}\n{}",
+                targets.join(" "),
+                usage()
+            ));
+        }
     }
     Ok(Options {
         target,

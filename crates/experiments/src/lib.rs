@@ -36,7 +36,7 @@
 //!   atomic writes, checksum + parameter-fingerprint validation) behind the
 //!   fleet executor's resumability;
 //! * [`report`] — plain-text rendering of series and tables, used by the example
-//!   binaries, the `vccmin-repro` CLI and the benches.
+//!   binaries and the `vccmin-repro` CLI.
 //!
 //! # Example
 //!

@@ -78,7 +78,7 @@ impl SimulationParams {
     }
 
     /// A smoke-test campaign: four representative workloads, tiny traces. Used by
-    /// unit/integration tests and the benches' correctness checks.
+    /// unit/integration tests and the CLI's `--smoke` flag.
     #[must_use]
     pub fn smoke() -> Self {
         Self {

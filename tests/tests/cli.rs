@@ -1,5 +1,6 @@
 //! Contract tests of the `vccmin-repro` CLI: the worker count never reaches
-//! the result bytes, and bad flag values are parse errors, not panics.
+//! the result bytes, and bad flags are parse errors, not panics or silently
+//! ignored input.
 //!
 //! `RAYON_NUM_THREADS=1` is the one way to run single-threaded (the pool then
 //! maps every job in order on the calling thread), so the tests compare the
@@ -56,15 +57,40 @@ fn yield_csv_is_byte_identical_on_one_and_two_workers() {
     assert_stdout_independent_of_worker_count(&["yield", "--smoke", "--csv"]);
 }
 
+/// The CLI contract for bad input: (args, exit code, stderr substring). Every
+/// row must also print nothing on stdout and must not panic.
+const REJECTED: &[(&[&str], i32, &str)] = &[
+    // Degenerate counts would print all-zero tables that read as results.
+    (&["schemes", "--smoke", "--instructions", "0"], 1, "--instructions must be at least 1"),
+    (&["schemes", "--smoke", "--pairs", "0", "--csv"], 1, "--pairs must be at least 1"),
+    (&["yield", "--smoke", "--dies", "0"], 1, "--dies must be at least 1"),
+    // A flag the target does not read is an error, not silently ignored.
+    (&["yield", "--smoke", "--pfail", "0.5"], 1, "--pfail does not apply to the `yield` target"),
+    (&["yield", "--smoke", "--pairs", "3"], 1, "--pairs does not apply to the `yield` target"),
+    (
+        &["yield", "--smoke", "--instructions", "5"],
+        1,
+        "--instructions does not apply to the `yield` target",
+    ),
+    (&["yield", "--core", "in-order"], 1, "--core does not apply to the `yield` target"),
+    (&["lowvolt", "--scheme", "bit-fix"], 1, "--scheme does not apply to the `lowvolt` target"),
+    (&["highvolt", "--pairs", "2"], 1, "--pairs does not apply to the `highvolt` target"),
+    // --pfail must be a probability.
+    (&["schemes", "--smoke", "--pfail", "nan"], 1, "--pfail must be a probability"),
+    (&["schemes", "--smoke", "--pfail", "-1"], 1, "--pfail must be a probability"),
+    (&["schemes", "--smoke", "--pfail", "2"], 1, "--pfail must be a probability"),
+    (&["schemes", "--smoke", "--pfail", "inf"], 1, "--pfail must be a probability"),
+];
+
 #[test]
-fn bad_pfail_is_a_parse_error_naming_the_flag() {
-    for bad in ["nan", "-1", "2", "inf"] {
-        let out = repro(&["schemes", "--smoke", "--pfail", bad], "1");
+fn bad_flags_are_parse_errors_naming_the_flag() {
+    for &(args, code, expected) in REJECTED {
+        let out = repro(args, "1");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "--pfail {bad} must exit 1:\n{stderr}");
-        assert!(stderr.contains("--pfail"), "--pfail {bad}: error must name the flag:\n{stderr}");
-        assert!(!stderr.contains("panicked"), "--pfail {bad} panicked:\n{stderr}");
-        assert!(out.stdout.is_empty(), "--pfail {bad} must not run a campaign");
+        assert_eq!(out.status.code(), Some(code), "{args:?} must exit {code}:\n{stderr}");
+        assert!(stderr.contains(expected), "{args:?}: stderr must contain {expected:?}:\n{stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?} panicked:\n{stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} must not run a campaign");
     }
 }
 
