@@ -14,7 +14,7 @@ use std::fmt;
 use vccmin_cache::CacheHierarchy;
 
 use crate::config::CpuConfig;
-use crate::inorder::{InOrderConfig, InOrderCore};
+use crate::inorder::InOrderCore;
 use crate::pipeline::{Pipeline, TraceSource};
 use crate::result::SimResult;
 
@@ -149,11 +149,7 @@ impl CoreModel {
     pub fn build_with_config(self, config: CpuConfig, hierarchy: CacheHierarchy) -> Box<dyn Cpu> {
         match self {
             Self::OutOfOrder => Box::new(Pipeline::new(config, hierarchy)),
-            Self::InOrder => Box::new(InOrderCore::new(
-                config,
-                InOrderConfig::scalar_stall_on_use(),
-                hierarchy,
-            )),
+            Self::InOrder => Box::new(InOrderCore::new(config, hierarchy)),
         }
     }
 }

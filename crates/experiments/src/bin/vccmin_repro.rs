@@ -434,26 +434,24 @@ fn run_lowvolt(out: &mut dyn Write, params: &SimulationParams, pool: &FaultMapPo
     emit(out, &study.figure8(), csv);
     emit(out, &study.figure9(), csv);
     emit(out, &study.figure10(), csv);
-    let word = study.average_normalized(
-        vccmin_experiments::SchemeConfig::WordDisabling,
-        vccmin_experiments::SchemeConfig::Baseline,
-    );
-    let block = study.average_normalized(
-        vccmin_experiments::SchemeConfig::BlockDisabling,
-        vccmin_experiments::SchemeConfig::Baseline,
-    );
-    let block_vc = study.average_normalized(
-        vccmin_experiments::SchemeConfig::BlockDisablingVictim10T,
-        vccmin_experiments::SchemeConfig::Baseline,
-    );
+    let average = |scheme| study.average_normalized(scheme, SchemeConfig::Baseline);
+    let word = average(SchemeConfig::WordDisabling);
+    let block_vc = average(SchemeConfig::BlockDisablingVictim10T);
+    let gain = word.zip(block_vc).map(|(word, block_vc)| block_vc / word - 1.0);
     // Diagnostics go to stderr so `--csv` stdout stays machine-parseable.
     eprintln!(
-        "summary: avg normalized performance  word={:.1}%  block={:.1}%  block+V$={:.1}%  (block+V$ improves on word by {:.1}%)",
-        100.0 * word,
-        100.0 * block,
-        100.0 * block_vc,
-        100.0 * (block_vc / word - 1.0)
+        "summary: avg normalized performance  word={}  block={}  block+V$={}  (block+V$ improves on word by {})",
+        percent(word),
+        percent(average(SchemeConfig::BlockDisabling)),
+        percent(block_vc),
+        percent(gain),
     );
+}
+
+/// A fraction as a percentage with one decimal, or `n/a` when it does not
+/// exist.
+fn percent(value: Option<f64>) -> String {
+    value.map_or_else(|| "n/a".to_string(), |v| format!("{:.1}%", 100.0 * v))
 }
 
 fn run_schemes(
@@ -525,23 +523,24 @@ fn run_governor(out: &mut dyn Write, params: &SimulationParams, pool: &FaultMapP
     let table = study.table();
     emit(out, &table, csv);
     let means = table.series_means();
-    let mean_of = |label: &str| -> f64 {
-        table
-            .series_labels
-            .iter()
-            .position(|l| l == label)
-            .and_then(|i| means[i])
-            .unwrap_or(0.0)
+    let mean_of = |label: &str| {
+        percent(
+            table
+                .series_labels
+                .iter()
+                .position(|l| l == label)
+                .and_then(|i| means[i]),
+        )
     };
     // Diagnostics go to stderr so `--csv` stdout stays machine-parseable.
     eprintln!(
-        "summary: vs pinned nominal  low: perf={:.1}% energy={:.1}%  interval: perf={:.1}% energy={:.1}%  reactive: perf={:.1}% energy={:.1}%",
-        100.0 * mean_of("low perf"),
-        100.0 * mean_of("low energy"),
-        100.0 * mean_of("interval perf"),
-        100.0 * mean_of("interval energy"),
-        100.0 * mean_of("reactive perf"),
-        100.0 * mean_of("reactive energy"),
+        "summary: vs pinned nominal  low: perf={} energy={}  interval: perf={} energy={}  reactive: perf={} energy={}",
+        mean_of("low perf"),
+        mean_of("low energy"),
+        mean_of("interval perf"),
+        mean_of("interval energy"),
+        mean_of("reactive perf"),
+        mean_of("reactive energy"),
     );
 }
 

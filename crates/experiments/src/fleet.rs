@@ -4,8 +4,9 @@
 //!
 //! [`YieldStudy`](crate::yield_study::YieldStudy) materializes a `DieResult`
 //! per die — the right shape for golden snapshots and property tests, but
-//! `O(dies)` memory. This module keeps the exact same per-die probe semantics
-//! while reducing every die to a constant-size integer aggregate on the fly:
+//! `O(dies)` memory. This module probes each die with the same
+//! [`YieldParams`] die jobs, fault maps and pass rule as `YieldStudy`, and
+//! reduces every die to a constant-size integer aggregate on the fly:
 //!
 //! * **Sharding** — the population is split into fixed runs of
 //!   [`FleetParams::shard_dies`] consecutive dies. Each shard draws its seed
@@ -39,12 +40,13 @@ use std::path::Path;
 
 use vccmin_analysis::quantile::GridQuantileSketch;
 use vccmin_cache::repair::{registry, RepairScheme};
-use vccmin_fault::{DieVariation, FaultMap};
 
 use crate::checkpoint::{fnv1a64, CheckpointStore, ShardRecord};
 use crate::map_jobs;
 use crate::report::FigureTable;
-use crate::yield_study::{vccmin_summary_table, yield_curve_table, YieldParams, YieldStudy};
+use crate::yield_study::{
+    vccmin_summary_table, yield_curve_table, DieJob, DieMaps, YieldParams, YieldStudy,
+};
 
 /// Parameters of a fleet campaign: a yield campaign plus its shard size.
 #[derive(Debug, Clone, PartialEq)]
@@ -296,21 +298,10 @@ fn compute_shard(
     shard_index: u64,
 ) -> ShardRecord {
     let (start, count) = params.shard_bounds(shard_index);
-    let l1_seeds = params.yields.die_seeds_range(start, count);
-    let l2_seeds: Vec<Option<(u64, u64)>> = if params.yields.include_l2 {
-        params
-            .yields
-            .l2_die_seeds_range(start, count)
-            .into_iter()
-            .map(Some)
-            .collect()
-    } else {
-        vec![None; count]
-    };
     let mut hist = vec![vec![0u64; grid.len()]; schemes.len()];
     let mut dead = vec![0u64; schemes.len()];
-    for ((die_seed, map_seed), l2) in l1_seeds.into_iter().zip(l2_seeds) {
-        let prefixes = die_prefix_lengths(&params.yields, grid, schemes, die_seed, map_seed, l2);
+    for job in params.yields.die_jobs(start, count) {
+        let prefixes = die_prefix_lengths(&params.yields, grid, schemes, job);
         for (i, len) in prefixes.into_iter().enumerate() {
             match len.checked_sub(1) {
                 Some(k) => hist[i][k] += 1,
@@ -329,48 +320,29 @@ fn compute_shard(
 
 /// Per scheme, the length of the die's operational true-prefix over the
 /// descending grid (0 = dead; `len - 1` indexes the minimum operational
-/// voltage). Semantically identical to scanning the grid as
-/// `YieldStudy::run_die` does — fault maps are nested across voltages and no
-/// scheme gains capacity from extra faults, so the flags are a true-prefix and
-/// its length can be binary-searched. Each probed grid index generates its
-/// fault map(s) once, memoized across all schemes of the die, for
-/// ~log2(steps) map generations per die instead of `steps`.
+/// voltage). It probes the same fault maps ([`YieldParams::die_maps`]) with
+/// the same pass rule ([`YieldParams::operational_with`]) as
+/// `YieldStudy::run_die`'s linear scan, but by binary search: fault maps are
+/// nested across voltages and no scheme gains capacity from extra faults, so
+/// the flags are a true-prefix. Each probed grid index generates its fault
+/// map(s) once, memoized across all schemes of the die, for ~log2(steps) map
+/// generations per die instead of `steps`.
 fn die_prefix_lengths(
     params: &YieldParams,
     grid: &[f64],
     schemes: &[&'static dyn RepairScheme],
-    die_seed: u64,
-    map_seed: u64,
-    l2_seeds: Option<(u64, u64)>,
+    job: DieJob,
 ) -> Vec<usize> {
-    let geometry = YieldStudy::geometry();
-    let die = DieVariation::sample(&geometry, &params.variation, die_seed);
-    let l2_die = l2_seeds.map(|(l2_die_seed, l2_map_seed)| {
-        (
-            DieVariation::sample(&YieldStudy::l2_geometry(), &params.variation, l2_die_seed),
-            l2_map_seed,
-        )
-    });
-    let mut maps: Vec<Option<(FaultMap, Option<FaultMap>)>> =
-        (0..grid.len()).map(|_| None).collect();
+    let maps_at = params.die_maps(job);
+    let mut maps: Vec<Option<DieMaps>> = (0..grid.len()).map(|_| None).collect();
     schemes
         .iter()
-        .map(|scheme| {
+        .map(|&scheme| {
             let (mut lo, mut hi) = (0usize, grid.len());
             while lo < hi {
                 let mid = lo + (hi - lo) / 2;
-                let (map, l2_map) = maps[mid].get_or_insert_with(|| {
-                    let map = FaultMap::generate_at_voltage(&die, grid[mid], map_seed);
-                    let l2_map = l2_die
-                        .as_ref()
-                        .map(|(d, seed)| FaultMap::generate_at_voltage(d, grid[mid], *seed));
-                    (map, l2_map)
-                });
-                let ok = scheme.meets_capacity_floor(map, params.min_capacity)
-                    && l2_map
-                        .as_ref()
-                        .is_none_or(|m| scheme.meets_capacity_floor(m, params.min_capacity));
-                if ok {
+                let probe = maps[mid].get_or_insert_with(|| maps_at(grid[mid]));
+                if params.operational_with(scheme, probe) {
                     lo = mid + 1;
                 } else {
                     hi = mid;

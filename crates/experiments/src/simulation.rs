@@ -13,23 +13,33 @@
 //! (sampled from a seed fork of its own, so the L1 maps never change) and the
 //! chosen scheme's effective L2 organization — including whole-cache failure
 //! on the L2 — feeds the same accounting as the L1 schemes.
+//!
+//! Every study in this module takes its fault maps from one [`FaultMapPool`]
+//! and runs through one executor: each (workload, configuration) or
+//! (workload, governor policy) cell becomes one job per independent fault-map
+//! pair, or one job for the whole cell; the jobs run on the calling thread or
+//! the rayon pool, and their outputs are regrouped per cell and tallied into
+//! runs and whole-cache failures. Every performance table renders through one
+//! builder from a list of `(label, scheme, mean or min)` columns. A value that
+//! does not exist — a scheme none of whose fault maps could be repaired — is
+//! `None` and renders as an empty cell, never as `0.0`.
 
 use std::sync::OnceLock;
 
 use vccmin_analysis::voltage::VoltageScalingModel;
 use vccmin_cache::{
-    CacheGeometry, CacheHierarchy, DisablingScheme, FaultMap, HierarchyConfig, VoltageMode,
+    CacheGeometry, CacheHierarchy, DisablingScheme, FaultMap, VoltageMode,
 };
 use vccmin_cpu::{CoreModel, SimResult};
 use vccmin_fault::SeedSequence;
 use vccmin_workloads::{Benchmark, PhaseSchedule};
 
 use crate::config::{L2Protection, SchemeConfig};
-use crate::map_jobs;
 use crate::governor::{
     run_governed, GovernedRun, GovernedRunSpec, GovernorMetrics, GovernorPolicy,
     TransitionCostModel,
 };
+use crate::map_jobs;
 use crate::report::FigureTable;
 use crate::workload::Workload;
 
@@ -150,29 +160,15 @@ impl SimulationParams {
         }
     }
 
-    /// The trace seed every campaign in this module uses for `workload`
-    /// (public so equivalence tests can replay the identical stream).
+    /// The trace seed every campaign in this module uses for `workload`,
+    /// derived from the master seed so every configuration of a workload (on
+    /// either core) replays the identical instruction stream. Public so
+    /// equivalence tests can replay the same stream.
     #[must_use]
     pub fn trace_seed(&self, workload: Workload) -> u64 {
-        trace_seed(self, workload)
-    }
-
-    /// The campaign's fault-map pairs (instruction cache, data cache), derived
-    /// from the master seed (public for the same reason).
-    #[must_use]
-    pub fn derived_fault_map_pairs(&self) -> Vec<(FaultMap, FaultMap)> {
-        fault_map_pairs(self)
-    }
-
-    /// The campaign's L2 fault maps, one per fault-map pair, derived from the
-    /// master seed through a fork of their own (so enabling the L2 axis never
-    /// changes the L1 maps). Empty when the L2 protection needs no maps.
-    #[must_use]
-    pub fn derived_l2_fault_maps(&self, schemes: &[SchemeConfig]) -> Vec<FaultMap> {
-        if !self.l2.needs_fault_maps(schemes) {
-            return Vec::new();
-        }
-        l2_fault_maps(self)
+        SeedSequence::new(self.master_seed)
+            .fork(workload.name())
+            .next_seed()
     }
 }
 
@@ -190,32 +186,37 @@ pub struct ConfigResult {
     pub scheme: SchemeConfig,
     /// One result per evaluated fault-map pair.
     pub runs: Vec<SimResult>,
-    /// Fault-map pairs skipped because word-disabling could not repair them
+    /// Fault-map pairs skipped because the repair scheme could not repair them
     /// (whole-cache failure).
     pub whole_cache_failures: usize,
 }
 
 impl ConfigResult {
-    /// Mean IPC over the evaluated fault maps.
+    /// Mean IPC over the evaluated fault maps, or `None` when no fault map
+    /// could be evaluated.
     #[must_use]
-    pub fn mean_ipc(&self) -> f64 {
+    pub fn mean_ipc(&self) -> Option<f64> {
         if self.runs.is_empty() {
-            return 0.0;
+            return None;
         }
-        self.runs.iter().map(SimResult::ipc).sum::<f64>() / self.runs.len() as f64
+        Some(self.runs.iter().map(SimResult::ipc).sum::<f64>() / self.runs.len() as f64)
     }
 
-    /// Minimum (worst fault map) IPC, or 0 when no fault map could be evaluated.
+    /// Minimum (worst fault map) IPC, or `None` when no fault map could be
+    /// evaluated.
     #[must_use]
-    pub fn min_ipc(&self) -> f64 {
-        if self.runs.is_empty() {
-            return 0.0;
-        }
-        self.runs
-            .iter()
-            .map(SimResult::ipc)
-            .fold(f64::INFINITY, f64::min)
+    pub fn min_ipc(&self) -> Option<f64> {
+        self.runs.iter().map(SimResult::ipc).reduce(f64::min)
     }
+}
+
+/// Which statistic of a configuration's runs a table column reports.
+#[derive(Debug, Clone, Copy)]
+enum Stat {
+    /// The mean over the evaluated fault maps.
+    Mean,
+    /// The worst evaluated fault map.
+    Min,
 }
 
 /// All configuration results for one workload.
@@ -235,86 +236,116 @@ impl BenchmarkResult {
     }
 
     /// Mean performance of `scheme` normalized to the mean performance of
-    /// `baseline`.
+    /// `baseline`, or `None` when either was not simulated or has no
+    /// evaluated run.
     #[must_use]
-    pub fn normalized_mean(&self, scheme: SchemeConfig, baseline: SchemeConfig) -> f64 {
-        match (self.config(scheme), self.config(baseline)) {
-            (Some(s), Some(b)) if b.mean_ipc() > 0.0 => s.mean_ipc() / b.mean_ipc(),
-            _ => 0.0,
-        }
+    pub fn normalized_mean(&self, scheme: SchemeConfig, baseline: SchemeConfig) -> Option<f64> {
+        self.normalized(scheme, Stat::Mean, baseline)
     }
 
     /// Minimum (worst fault map) performance of `scheme` normalized to the mean
-    /// performance of `baseline`.
+    /// performance of `baseline`, or `None` as for [`Self::normalized_mean`].
     #[must_use]
-    pub fn normalized_min(&self, scheme: SchemeConfig, baseline: SchemeConfig) -> f64 {
-        match (self.config(scheme), self.config(baseline)) {
-            (Some(s), Some(b)) if b.mean_ipc() > 0.0 => s.min_ipc() / b.mean_ipc(),
-            _ => 0.0,
-        }
+    pub fn normalized_min(&self, scheme: SchemeConfig, baseline: SchemeConfig) -> Option<f64> {
+        self.normalized(scheme, Stat::Min, baseline)
+    }
+
+    fn normalized(&self, scheme: SchemeConfig, stat: Stat, baseline: SchemeConfig) -> Option<f64> {
+        let base = self.config(baseline)?.mean_ipc().filter(|&b| b > 0.0)?;
+        let runs = self.config(scheme)?;
+        let value = match stat {
+            Stat::Mean => runs.mean_ipc(),
+            Stat::Min => runs.min_ipc(),
+        }?;
+        Some(value / base)
     }
 }
 
-/// Runs one workload on one hierarchy with the selected CPU backend and
-/// returns the result. Core construction goes through [`CoreModel::build`] —
-/// the same factory path the governor uses — so every campaign executor
-/// builds cores identically.
-fn simulate(
-    workload: Workload,
-    core: CoreModel,
-    hierarchy: CacheHierarchy,
-    trace_seed: u64,
-    instructions: u64,
-) -> SimResult {
-    let mut cpu = core.build(hierarchy);
-    let mut trace = workload.source(trace_seed);
-    cpu.run(&mut trace, Some(instructions))
-}
+/// One column of a normalized performance table: its label, the scheme it
+/// reports and which statistic of that scheme's runs.
+type Column<L> = (L, SchemeConfig, Stat);
 
-/// Generates the campaign's fault-map pairs (instruction cache, data cache).
-fn fault_map_pairs(params: &SimulationParams) -> Vec<(FaultMap, FaultMap)> {
-    generate_fault_map_pairs(params.master_seed, params.pfail, params.fault_map_pairs)
-}
-
-fn generate_fault_map_pairs(master_seed: u64, pfail: f64, count: usize) -> Vec<(FaultMap, FaultMap)> {
-    let geom = CacheGeometry::ispass2010_l1();
-    let mut seeds = SeedSequence::new(master_seed).fork("fault-maps");
-    (0..count)
-        .map(|_| {
-            let si = seeds.next_seed();
-            let sd = seeds.next_seed();
-            (
-                FaultMap::generate(&geom, pfail, si),
-                FaultMap::generate(&geom, pfail, sd),
-            )
+/// The `avg` and `min` columns of each scheme, labelled
+/// `"{prefix}{scheme} avg"` and `"{prefix}{scheme} min"`.
+fn avg_min_columns(prefix: &str, schemes: &[SchemeConfig]) -> Vec<Column<String>> {
+    schemes
+        .iter()
+        .flat_map(|&scheme| {
+            [
+                (format!("{prefix}{} avg", scheme.label()), scheme, Stat::Mean),
+                (format!("{prefix}{} min", scheme.label()), scheme, Stat::Min),
+            ]
         })
         .collect()
 }
 
-/// Generates the campaign's L2 fault maps, one per fault-map pair, from a seed
-/// fork of their own: the L1 pairs are bit-identical whether or not the L2 axis
-/// is enabled.
-fn l2_fault_maps(params: &SimulationParams) -> Vec<FaultMap> {
-    generate_l2_fault_maps(params.master_seed, params.pfail, params.fault_map_pairs)
+/// One workload's cells: each column's statistic normalized to the mean
+/// performance of `baseline`, `None` where it is undefined.
+fn normalized_cells<L>(
+    b: &BenchmarkResult,
+    baseline: SchemeConfig,
+    columns: &[Column<L>],
+) -> Vec<Option<f64>> {
+    columns
+        .iter()
+        .map(|&(_, scheme, stat)| b.normalized(scheme, stat, baseline))
+        .collect()
 }
 
-fn generate_l2_fault_maps(master_seed: u64, pfail: f64, count: usize) -> Vec<FaultMap> {
-    let geom = CacheGeometry::ispass2010_l2();
-    let mut seeds = SeedSequence::new(master_seed).fork("l2-fault-maps");
-    (0..count)
-        .map(|_| FaultMap::generate(&geom, pfail, seeds.next_seed()))
-        .collect()
+/// A performance table with one row per workload and one cell per column,
+/// normalized to `baseline`.
+fn normalized_table<L: AsRef<str>>(
+    title: &str,
+    workloads: &[BenchmarkResult],
+    baseline: SchemeConfig,
+    columns: &[Column<L>],
+) -> FigureTable {
+    let labels = columns
+        .iter()
+        .map(|(label, ..)| label.as_ref().to_string())
+        .collect();
+    let mut table = FigureTable::new(title, "benchmark", labels);
+    for b in workloads {
+        table.push_optional_row(b.workload.name(), normalized_cells(b, baseline, columns));
+    }
+    table
+}
+
+/// Average over `workloads` of the mean performance of `scheme` normalized to
+/// `baseline`, over the workloads where it is defined (the rule of a table's
+/// `mean` footer); `None` when no workload defines it.
+fn average_normalized(
+    workloads: &[BenchmarkResult],
+    scheme: SchemeConfig,
+    baseline: SchemeConfig,
+) -> Option<f64> {
+    let defined: Vec<f64> = workloads
+        .iter()
+        .filter_map(|b| b.normalized_mean(scheme, baseline))
+        .collect();
+    (!defined.is_empty()).then(|| defined.iter().sum::<f64>() / defined.len() as f64)
+}
+
+/// Runs one workload on one hierarchy with the campaign's CPU backend, trace
+/// seed and instruction budget, and returns the result. Core construction
+/// goes through [`CoreModel::build`] — the same factory path the governor
+/// uses — so every campaign executor builds cores identically.
+fn simulate(params: &SimulationParams, workload: Workload, hierarchy: CacheHierarchy) -> SimResult {
+    let mut cpu = params.core.build(hierarchy);
+    let mut trace = workload.source(params.trace_seed(workload));
+    cpu.run(&mut trace, Some(params.instructions))
 }
 
 /// The fault maps of one campaign parameter set, generated once and shared.
 ///
-/// Every study over one parameter set needs the same fault-map pairs and L2
-/// maps, derived from `params.master_seed`. A pool derives them from the same
-/// [`SeedSequence`] forks exactly once, lazily per cache level (a
-/// high-voltage-only campaign never generates L1 pairs; a perfect-L2 campaign
-/// never generates L2 maps), and hands out shared slices, so campaigns that
-/// run several studies over one parameter set (`vccmin-repro all`) reuse one
-/// set of maps bit-identically.
+/// This is the only source of campaign fault maps. Every study over one
+/// parameter set needs the same fault-map pairs and L2 maps, derived from
+/// `params.master_seed`. A pool derives them from the same [`SeedSequence`]
+/// forks exactly once, lazily per cache level (a high-voltage-only campaign
+/// never generates L1 pairs; a perfect-L2 campaign never generates L2 maps),
+/// and hands out shared slices, so campaigns that run several studies over
+/// one parameter set (`vccmin-repro all`) reuse one set of maps
+/// bit-identically.
 #[derive(Debug)]
 pub struct FaultMapPool {
     master_seed: u64,
@@ -346,20 +377,37 @@ impl FaultMapPool {
             && self.pair_count == params.fault_map_pairs
     }
 
-    /// The campaign's L1 fault-map pairs (instruction cache, data cache),
-    /// bit-identical to [`SimulationParams::derived_fault_map_pairs`].
+    /// The campaign's L1 fault-map pairs (instruction cache, data cache).
     #[must_use]
     pub fn pairs(&self) -> &[(FaultMap, FaultMap)] {
-        self.pairs
-            .get_or_init(|| generate_fault_map_pairs(self.master_seed, self.pfail, self.pair_count))
+        self.pairs.get_or_init(|| {
+            let geom = CacheGeometry::ispass2010_l1();
+            let mut seeds = SeedSequence::new(self.master_seed).fork("fault-maps");
+            (0..self.pair_count)
+                .map(|_| {
+                    let si = seeds.next_seed();
+                    let sd = seeds.next_seed();
+                    (
+                        FaultMap::generate(&geom, self.pfail, si),
+                        FaultMap::generate(&geom, self.pfail, sd),
+                    )
+                })
+                .collect()
+        })
     }
 
-    /// The campaign's L2 fault maps, one per pair, bit-identical to the maps
-    /// [`SimulationParams::derived_l2_fault_maps`] returns when needed.
+    /// The campaign's L2 fault maps, one per fault-map pair, from a seed fork
+    /// of their own: the L1 pairs are bit-identical whether or not the L2
+    /// axis is enabled.
     #[must_use]
     pub fn l2_maps(&self) -> &[FaultMap] {
-        self.l2
-            .get_or_init(|| generate_l2_fault_maps(self.master_seed, self.pfail, self.pair_count))
+        self.l2.get_or_init(|| {
+            let geom = CacheGeometry::ispass2010_l2();
+            let mut seeds = SeedSequence::new(self.master_seed).fork("l2-fault-maps");
+            (0..self.pair_count)
+                .map(|_| FaultMap::generate(&geom, self.pfail, seeds.next_seed()))
+                .collect()
+        })
     }
 
     /// The campaign's L2 fault maps if `l2` actually needs them for any of
@@ -374,29 +422,45 @@ impl FaultMapPool {
     }
 }
 
-/// Trace seed for a workload, derived from the master seed so every configuration
-/// of a workload replays the identical instruction stream.
-fn trace_seed(params: &SimulationParams, workload: Workload) -> u64 {
-    SeedSequence::new(params.master_seed)
-        .fork(workload.name())
-        .next_seed()
+/// Runs a study's cells and returns each cell's outputs, in cell order.
+///
+/// `fan_out(cell)` is `Some(n)` when the cell's `n` fault-map pairs are
+/// independent units of work: the cell becomes `n` jobs, `run(cell, Some(i))`
+/// for pair `i`. Otherwise (`None`) the cell is one job, `run(cell, None)`.
+/// A cell's outputs are its jobs' outputs concatenated in pair order.
+///
+/// Determinism: every fault map and trace seed is derived up front from the
+/// master seed, and [`map_jobs`] returns the outputs in job order (on the
+/// calling thread when `serial`, on the rayon pool otherwise), so the result
+/// does not depend on the worker count or on how the jobs are scheduled.
+fn run_cells<C: Sync, O: Send>(
+    cells: &[C],
+    fan_out: impl Fn(&C) -> Option<usize>,
+    run: impl Fn(&C, Option<usize>) -> Vec<O> + Sync + Send,
+    serial: bool,
+) -> Vec<Vec<O>> {
+    let mut jobs = Vec::new();
+    for (index, cell) in cells.iter().enumerate() {
+        match fan_out(cell) {
+            Some(pairs) => jobs.extend((0..pairs).map(|pair| (index, Some(pair)))),
+            None => jobs.push((index, None)),
+        }
+    }
+    let mut outputs: Vec<Vec<O>> = cells.iter().map(|_| Vec::new()).collect();
+    for (index, out) in map_jobs(jobs, serial, |(index, pair)| (index, run(&cells[index], pair))) {
+        outputs[index].extend(out);
+    }
+    outputs
 }
 
-/// Simulates one fault-map pair for one (workload, configuration), or `None`
-/// when a repair scheme cannot repair one of the maps (whole-cache failure, on
-/// the L1s or the L2). Every fault-map evaluation of a campaign, as a pair
-/// job or inside a whole-cell job, runs through this single function.
-fn run_fault_pair(
-    params: &SimulationParams,
-    cfg: HierarchyConfig,
-    workload: Workload,
-    trace_seed: u64,
-    (map_i, map_d): &(FaultMap, FaultMap),
-    l2_map: Option<&FaultMap>,
-) -> Option<SimResult> {
-    CacheHierarchy::with_all_fault_maps(cfg, Some(map_i), Some(map_d), l2_map)
-        .ok()
-        .map(|hierarchy| simulate(workload, params.core, hierarchy, trace_seed, params.instructions))
+/// Splits a cell's outcomes into the evaluated runs and the number of
+/// fault-map pairs the repair scheme could not repair (`None` outcomes:
+/// whole-cache failures).
+fn split_failures<T>(outcomes: Vec<Option<T>>) -> (Vec<T>, usize) {
+    let total = outcomes.len();
+    let runs: Vec<T> = outcomes.into_iter().flatten().collect();
+    let failures = total - runs.len();
+    (runs, failures)
 }
 
 /// Whether `scheme` at `voltage` is evaluated once per fault-map pair: the L1
@@ -410,9 +474,9 @@ fn map_dependent(params: &SimulationParams, scheme: SchemeConfig, voltage: Volta
 /// Whether each fault-map pair of a map-dependent configuration is an
 /// independent unit of work. Configurations whose repaired organization is
 /// identical for every usable map — word-disabling's always-halved cache, on
-/// *both* the L1s and the L2 — are the exception: [`run_config`] stops after
-/// the first usable pair, which makes later pairs depend on the earlier
-/// outcomes.
+/// *both* the L1s and the L2 — are the exception: the first usable pair
+/// stands for all of them, so the cell stops there, which makes later pairs
+/// depend on the earlier outcomes.
 fn pairs_independent(params: &SimulationParams, scheme: SchemeConfig) -> bool {
     !(scheme.scheme().repair().performance_uniform_across_maps()
         && params
@@ -422,111 +486,10 @@ fn pairs_independent(params: &SimulationParams, scheme: SchemeConfig) -> bool {
             .performance_uniform_across_maps())
 }
 
-/// Runs one (workload, configuration) pair at the given voltage over the campaign's
-/// fault maps.
-fn run_config(
-    params: &SimulationParams,
-    pairs: &[(FaultMap, FaultMap)],
-    l2_maps: &[FaultMap],
-    workload: Workload,
-    scheme: SchemeConfig,
-    voltage: VoltageMode,
-) -> ConfigResult {
-    let seed = trace_seed(params, workload);
-    let cfg = scheme.hierarchy_config_with_l2(voltage, params.l2);
-    let mut runs = Vec::new();
-    let mut whole_cache_failures = 0;
-
-    if map_dependent(params, scheme, voltage) {
-        for (i, pair) in pairs.iter().enumerate() {
-            match run_fault_pair(params, cfg, workload, seed, pair, l2_maps.get(i)) {
-                Some(result) => {
-                    runs.push(result);
-                    // Word-disabling's performance does not depend on *which* usable
-                    // map was drawn (capacity is always halved), so one run suffices.
-                    if !pairs_independent(params, scheme) {
-                        break;
-                    }
-                }
-                None => whole_cache_failures += 1,
-            }
-        }
-    } else {
-        let hierarchy = CacheHierarchy::new(cfg);
-        runs.push(simulate(workload, params.core, hierarchy, seed, params.instructions));
-    }
-    ConfigResult {
-        scheme,
-        runs,
-        whole_cache_failures,
-    }
-}
-
-/// One unit of campaign work: either a whole (workload, configuration) cell —
-/// used for fault-independent configurations and for word-disabling, whose
-/// early-exit over fault maps is inherently sequential — or a single fault-map
-/// pair of a block-disabling configuration.
-#[derive(Debug, Clone, Copy)]
-enum JobSpec {
-    /// Run `run_config` for the whole cell.
-    Whole {
-        /// Benchmark to simulate.
-        workload: Workload,
-        /// Configuration to simulate.
-        scheme: SchemeConfig,
-    },
-    /// Run one fault-map pair of a map-dependent cell.
-    Pair {
-        /// Benchmark to simulate.
-        workload: Workload,
-        /// Configuration to simulate.
-        scheme: SchemeConfig,
-        /// Index into the campaign's fault-map pair list.
-        pair_index: usize,
-    },
-}
-
-/// Output of one [`JobSpec`], in the same order as the job list.
-enum JobOutput {
-    Whole(ConfigResult),
-    Pair(Option<Box<SimResult>>),
-}
-
-/// Splits a campaign into independent jobs: one per fault-map pair where pairs
-/// are independent, one per (workload, configuration) cell otherwise.
-fn campaign_jobs(
-    params: &SimulationParams,
-    schemes: &[SchemeConfig],
-    voltage: VoltageMode,
-    pair_count: usize,
-) -> Vec<JobSpec> {
-    let mut jobs = Vec::new();
-    for &workload in &params.workloads {
-        for &scheme in schemes {
-            if map_dependent(params, scheme, voltage) && pairs_independent(params, scheme) {
-                jobs.extend(
-                    (0..pair_count).map(|pair_index| JobSpec::Pair {
-                        workload,
-                        scheme,
-                        pair_index,
-                    }),
-                );
-            } else {
-                jobs.push(JobSpec::Whole { workload, scheme });
-            }
-        }
-    }
-    jobs
-}
-
-/// Runs a campaign over every (workload, configuration) cell, fanning out over
-/// workload × configuration × fault-map pair — on the calling thread when
-/// `serial`, on the rayon pool otherwise.
-///
-/// Determinism: the fault-map pairs and trace seeds are derived up front from
-/// `params.master_seed` through [`SeedSequence`], and [`map_jobs`] returns the
-/// outputs in job order, so the result does not depend on the worker count or
-/// on how the jobs are scheduled.
+/// Runs a campaign over every (workload, configuration) cell at `voltage`.
+/// A map-dependent cell with independent pairs runs one job per fault-map
+/// pair; every other cell runs as one job: a fault-free run, or the pairs in
+/// order up to the first usable one.
 fn run_campaign(
     params: &SimulationParams,
     pool: &FaultMapPool,
@@ -535,72 +498,67 @@ fn run_campaign(
     serial: bool,
 ) -> Vec<BenchmarkResult> {
     debug_assert!(pool.matches(params), "fault-map pool built from different parameters");
-    let pairs: &[(FaultMap, FaultMap)] = if voltage == VoltageMode::Low {
-        pool.pairs()
+    let (pairs, l2_maps): (&[(FaultMap, FaultMap)], &[FaultMap]) = if voltage == VoltageMode::Low
+    {
+        (pool.pairs(), pool.l2_maps_if_needed(params.l2, schemes))
     } else {
-        &[]
+        (&[], &[])
     };
-    let l2_maps: &[FaultMap] = if voltage == VoltageMode::Low {
-        pool.l2_maps_if_needed(params.l2, schemes)
-    } else {
-        &[]
+    // One fault-map pair of one cell, or `None` when a repair scheme cannot
+    // repair one of the maps (whole-cache failure, on the L1s or the L2).
+    let on_pair = |workload: Workload, scheme: SchemeConfig, i: usize| {
+        let cfg = scheme.hierarchy_config_with_l2(voltage, params.l2);
+        let (map_i, map_d) = &pairs[i];
+        CacheHierarchy::with_all_fault_maps(cfg, Some(map_i), Some(map_d), l2_maps.get(i))
+            .ok()
+            .map(|hierarchy| simulate(params, workload, hierarchy))
     };
-    let jobs = campaign_jobs(params, schemes, voltage, pairs.len());
-    let outputs = map_jobs(jobs, serial, |job| match job {
-        JobSpec::Whole { workload, scheme } => JobOutput::Whole(run_config(
-            params, pairs, l2_maps, workload, scheme, voltage,
-        )),
-        JobSpec::Pair {
-            workload,
+    let cells: Vec<(Workload, SchemeConfig)> = params
+        .workloads
+        .iter()
+        .flat_map(|&workload| schemes.iter().map(move |&scheme| (workload, scheme)))
+        .collect();
+    let outputs = run_cells(
+        &cells,
+        |&(_, scheme)| {
+            (map_dependent(params, scheme, voltage) && pairs_independent(params, scheme))
+                .then_some(pairs.len())
+        },
+        |&(workload, scheme), pair| match pair {
+            Some(i) => vec![on_pair(workload, scheme, i)],
+            None if map_dependent(params, scheme, voltage) => {
+                let mut outcomes = Vec::new();
+                for i in 0..pairs.len() {
+                    let outcome = on_pair(workload, scheme, i);
+                    let usable = outcome.is_some();
+                    outcomes.push(outcome);
+                    if usable {
+                        break;
+                    }
+                }
+                outcomes
+            }
+            None => {
+                let cfg = scheme.hierarchy_config_with_l2(voltage, params.l2);
+                vec![Some(simulate(params, workload, CacheHierarchy::new(cfg)))]
+            }
+        },
+        serial,
+    );
+    let mut configs = cells.iter().zip(outputs).map(|(&(_, scheme), outcomes)| {
+        let (runs, whole_cache_failures) = split_failures(outcomes);
+        ConfigResult {
             scheme,
-            pair_index,
-        } => JobOutput::Pair(
-            run_fault_pair(
-                params,
-                scheme.hierarchy_config_with_l2(voltage, params.l2),
-                workload,
-                trace_seed(params, workload),
-                &pairs[pair_index],
-                l2_maps.get(pair_index),
-            )
-            .map(Box::new),
-        ),
+            runs,
+            whole_cache_failures,
+        }
     });
-
-    // Reassemble in the same workload × scheme × pair order the jobs were
-    // emitted in.
-    let mut cursor = outputs.into_iter();
     params
         .workloads
         .iter()
         .map(|&workload| BenchmarkResult {
             workload,
-            configs: schemes
-                .iter()
-                .map(|&scheme| {
-                    if map_dependent(params, scheme, voltage) && pairs_independent(params, scheme) {
-                        let mut runs = Vec::new();
-                        let mut whole_cache_failures = 0;
-                        for _ in 0..pairs.len() {
-                            match cursor.next() {
-                                Some(JobOutput::Pair(Some(result))) => runs.push(*result),
-                                Some(JobOutput::Pair(None)) => whole_cache_failures += 1,
-                                _ => unreachable!("job list and output list diverged"),
-                            }
-                        }
-                        ConfigResult {
-                            scheme,
-                            runs,
-                            whole_cache_failures,
-                        }
-                    } else {
-                        match cursor.next() {
-                            Some(JobOutput::Whole(result)) => result,
-                            _ => unreachable!("job list and output list diverged"),
-                        }
-                    }
-                })
-                .collect(),
+            configs: configs.by_ref().take(schemes.len()).collect(),
         })
         .collect()
 }
@@ -648,103 +606,67 @@ impl LowVoltageStudy {
     /// block-disabling (min), block-disabling+V$ 10T (min).
     #[must_use]
     pub fn figure8(&self) -> FigureTable {
-        let mut table = FigureTable::new(
+        use SchemeConfig::{BlockDisabling, BlockDisablingVictim10T, WordDisabling};
+        use Stat::{Mean, Min};
+        normalized_table(
             "Figure 8: below Vcc-min, normalized to baseline without victim cache",
-            "benchmark",
-            vec![
-                "word disabling".into(),
-                "block disabling avg".into(),
-                "block disabling avg+V$ 10T".into(),
-                "block disabling min".into(),
-                "block disabling min+V$ 10T".into(),
+            &self.workloads,
+            SchemeConfig::Baseline,
+            &[
+                ("word disabling", WordDisabling, Mean),
+                ("block disabling avg", BlockDisabling, Mean),
+                ("block disabling avg+V$ 10T", BlockDisablingVictim10T, Mean),
+                ("block disabling min", BlockDisabling, Min),
+                ("block disabling min+V$ 10T", BlockDisablingVictim10T, Min),
             ],
-        );
-        for b in &self.workloads {
-            let base = SchemeConfig::Baseline;
-            table.push_row(
-                b.workload.name(),
-                vec![
-                    b.normalized_mean(SchemeConfig::WordDisabling, base),
-                    b.normalized_mean(SchemeConfig::BlockDisabling, base),
-                    b.normalized_mean(SchemeConfig::BlockDisablingVictim10T, base),
-                    b.normalized_min(SchemeConfig::BlockDisabling, base),
-                    b.normalized_min(SchemeConfig::BlockDisablingVictim10T, base),
-                ],
-            );
-        }
-        table
+        )
     }
 
     /// Figure 9: every configuration (including the baseline) has a 10T victim
     /// cache; normalized to that baseline.
     #[must_use]
     pub fn figure9(&self) -> FigureTable {
-        let mut table = FigureTable::new(
+        use SchemeConfig::{BlockDisablingVictim10T, WordDisabling};
+        use Stat::{Mean, Min};
+        normalized_table(
             "Figure 9: below Vcc-min, normalized to baseline with 10T victim cache",
-            "benchmark",
-            vec![
-                "word disabling".into(),
-                "block disabling avg".into(),
-                "block disabling min".into(),
+            &self.workloads,
+            SchemeConfig::BaselineVictim,
+            &[
+                ("word disabling", WordDisabling, Mean),
+                ("block disabling avg", BlockDisablingVictim10T, Mean),
+                ("block disabling min", BlockDisablingVictim10T, Min),
             ],
-        );
-        for b in &self.workloads {
-            let base = SchemeConfig::BaselineVictim;
-            table.push_row(
-                b.workload.name(),
-                vec![
-                    b.normalized_mean(SchemeConfig::WordDisabling, base),
-                    b.normalized_mean(SchemeConfig::BlockDisablingVictim10T, base),
-                    b.normalized_min(SchemeConfig::BlockDisablingVictim10T, base),
-                ],
-            );
-        }
-        table
+        )
     }
 
     /// Figure 10: 10T versus 6T victim cells for the block-disabled cache,
     /// normalized to the baseline without victim cache.
     #[must_use]
     pub fn figure10(&self) -> FigureTable {
-        let mut table = FigureTable::new(
+        use SchemeConfig::{BlockDisablingVictim10T, BlockDisablingVictim6T, WordDisabling};
+        use Stat::{Mean, Min};
+        normalized_table(
             "Figure 10: 16-entry victim cache, 10T vs 6T cells (below Vcc-min)",
-            "benchmark",
-            vec![
-                "word disabling".into(),
-                "block disabling avg+V$ 10T".into(),
-                "block disabling avg+V$ 6T".into(),
-                "block disabling min+V$ 10T".into(),
-                "block disabling min+V$ 6T".into(),
+            &self.workloads,
+            SchemeConfig::Baseline,
+            &[
+                ("word disabling", WordDisabling, Mean),
+                ("block disabling avg+V$ 10T", BlockDisablingVictim10T, Mean),
+                ("block disabling avg+V$ 6T", BlockDisablingVictim6T, Mean),
+                ("block disabling min+V$ 10T", BlockDisablingVictim10T, Min),
+                ("block disabling min+V$ 6T", BlockDisablingVictim6T, Min),
             ],
-        );
-        for b in &self.workloads {
-            let base = SchemeConfig::Baseline;
-            table.push_row(
-                b.workload.name(),
-                vec![
-                    b.normalized_mean(SchemeConfig::WordDisabling, base),
-                    b.normalized_mean(SchemeConfig::BlockDisablingVictim10T, base),
-                    b.normalized_mean(SchemeConfig::BlockDisablingVictim6T, base),
-                    b.normalized_min(SchemeConfig::BlockDisablingVictim10T, base),
-                    b.normalized_min(SchemeConfig::BlockDisablingVictim6T, base),
-                ],
-            );
-        }
-        table
+        )
     }
 
     /// Average (over workloads) of the mean performance of `scheme` normalized to
     /// `baseline` — the numbers quoted in the paper's abstract and Section VI.A.
+    /// Workloads on which the value is undefined are left out, as in a table's
+    /// `mean` footer; `None` when no workload defines it.
     #[must_use]
-    pub fn average_normalized(&self, scheme: SchemeConfig, baseline: SchemeConfig) -> f64 {
-        if self.workloads.is_empty() {
-            return 0.0;
-        }
-        self.workloads
-            .iter()
-            .map(|b| b.normalized_mean(scheme, baseline))
-            .sum::<f64>()
-            / self.workloads.len() as f64
+    pub fn average_normalized(&self, scheme: SchemeConfig, baseline: SchemeConfig) -> Option<f64> {
+        average_normalized(&self.workloads, scheme, baseline)
     }
 }
 
@@ -789,49 +711,33 @@ impl HighVoltageStudy {
     /// cache.
     #[must_use]
     pub fn figure11(&self) -> FigureTable {
-        let mut table = FigureTable::new(
+        use SchemeConfig::{BlockDisabling, BlockDisablingVictim10T, WordDisabling};
+        normalized_table(
             "Figure 11: high voltage, normalized to baseline without victim cache",
-            "benchmark",
-            vec![
-                "word disabling".into(),
-                "block disabling".into(),
-                "block disabling+V$ 10T".into(),
+            &self.workloads,
+            SchemeConfig::Baseline,
+            &[
+                ("word disabling", WordDisabling, Stat::Mean),
+                ("block disabling", BlockDisabling, Stat::Mean),
+                ("block disabling+V$ 10T", BlockDisablingVictim10T, Stat::Mean),
             ],
-        );
-        for b in &self.workloads {
-            let base = SchemeConfig::Baseline;
-            table.push_row(
-                b.workload.name(),
-                vec![
-                    b.normalized_mean(SchemeConfig::WordDisabling, base),
-                    b.normalized_mean(SchemeConfig::BlockDisabling, base),
-                    b.normalized_mean(SchemeConfig::BlockDisablingVictim10T, base),
-                ],
-            );
-        }
-        table
+        )
     }
 
     /// Figure 12: word vs block disabling when both (and the baseline) have victim
     /// caches, at high voltage.
     #[must_use]
     pub fn figure12(&self) -> FigureTable {
-        let mut table = FigureTable::new(
+        use SchemeConfig::{BlockDisablingVictim10T, WordDisablingVictim};
+        normalized_table(
             "Figure 12: high voltage, all configurations with victim caches",
-            "benchmark",
-            vec!["word disabling".into(), "block disabling".into()],
-        );
-        for b in &self.workloads {
-            let base = SchemeConfig::BaselineVictim;
-            table.push_row(
-                b.workload.name(),
-                vec![
-                    b.normalized_mean(SchemeConfig::WordDisablingVictim, base),
-                    b.normalized_mean(SchemeConfig::BlockDisablingVictim10T, base),
-                ],
-            );
-        }
-        table
+            &self.workloads,
+            SchemeConfig::BaselineVictim,
+            &[
+                ("word disabling", WordDisablingVictim, Stat::Mean),
+                ("block disabling", BlockDisablingVictim10T, Stat::Mean),
+            ],
+        )
     }
 }
 
@@ -894,41 +800,34 @@ impl SchemeMatrixStudy {
         &self.schemes
     }
 
-    /// The scheme-matrix table: per workload, the mean and worst-fault-map
-    /// performance of every evaluated scheme, normalized to the fault-free
-    /// baseline.
-    #[must_use]
-    pub fn table(&self) -> FigureTable {
-        let mut columns: Vec<SchemeConfig> = self
+    /// The schemes the table reports: every evaluated scheme but the
+    /// baseline. A baseline-only run still gets a (trivially 1.0) column
+    /// rather than a degenerate zero-column table.
+    fn table_schemes(&self) -> Vec<SchemeConfig> {
+        let schemes: Vec<SchemeConfig> = self
             .schemes
             .iter()
             .copied()
             .filter(|&s| s != SchemeConfig::Baseline)
             .collect();
-        if columns.is_empty() {
-            // A baseline-only run still gets a (trivially 1.0) column rather
-            // than a degenerate zero-column table.
-            columns.push(SchemeConfig::Baseline);
+        if schemes.is_empty() {
+            vec![SchemeConfig::Baseline]
+        } else {
+            schemes
         }
-        let mut labels = Vec::new();
-        for &scheme in &columns {
-            labels.push(format!("{} avg", scheme.label()));
-            labels.push(format!("{} min", scheme.label()));
-        }
-        let mut table = FigureTable::new(
+    }
+
+    /// The scheme-matrix table: per workload, the mean and worst-fault-map
+    /// performance of every evaluated scheme, normalized to the fault-free
+    /// baseline.
+    #[must_use]
+    pub fn table(&self) -> FigureTable {
+        normalized_table(
             "Scheme matrix: below Vcc-min, normalized to the fault-free baseline",
-            "benchmark",
-            labels,
-        );
-        for b in &self.workloads {
-            let mut values = Vec::new();
-            for &scheme in &columns {
-                values.push(b.normalized_mean(scheme, SchemeConfig::Baseline));
-                values.push(b.normalized_min(scheme, SchemeConfig::Baseline));
-            }
-            table.push_row(b.workload.name(), values);
-        }
-        table
+            &self.workloads,
+            SchemeConfig::Baseline,
+            &avg_min_columns("", &self.table_schemes()),
+        )
     }
 }
 
@@ -984,30 +883,18 @@ impl CoreMatrixStudy {
         Self { cores }
     }
 
-    /// The evaluated (non-baseline) scheme columns of one entry's matrix.
-    fn scheme_columns(entry: &CoreMatrixEntry) -> Vec<SchemeConfig> {
-        entry
-            .study
-            .schemes()
-            .iter()
-            .copied()
-            .filter(|&s| s != SchemeConfig::Baseline)
-            .collect()
-    }
-
     /// The core-matrix table: per workload, every backend's per-scheme mean
     /// and worst-fault-map performance, normalized to the same backend's
     /// fault-free baseline. Column labels are prefixed with the core name
     /// (`"ooo: bit-fix avg"`, `"in-order: bit-fix avg"`, ...).
     #[must_use]
     pub fn table(&self) -> FigureTable {
-        let mut labels = Vec::new();
-        for entry in &self.cores {
-            for scheme in Self::scheme_columns(entry) {
-                labels.push(format!("{}: {} avg", entry.core, scheme.label()));
-                labels.push(format!("{}: {} min", entry.core, scheme.label()));
-            }
-        }
+        let columns: Vec<Vec<Column<String>>> = self
+            .cores
+            .iter()
+            .map(|entry| avg_min_columns(&format!("{}: ", entry.core), &entry.study.table_schemes()))
+            .collect();
+        let labels = columns.iter().flatten().map(|(label, ..)| label.clone()).collect();
         let mut table = FigureTable::new(
             "Core matrix: below Vcc-min, per CPU backend, normalized to that backend's fault-free baseline",
             "benchmark",
@@ -1017,16 +904,17 @@ impl CoreMatrixStudy {
             return table;
         };
         for (row, reference) in first.study.workloads.iter().enumerate() {
-            let mut values = Vec::new();
-            for entry in &self.cores {
-                let b = &entry.study.workloads[row];
-                debug_assert_eq!(b.workload, reference.workload, "entries share workload order");
-                for scheme in Self::scheme_columns(entry) {
-                    values.push(b.normalized_mean(scheme, SchemeConfig::Baseline));
-                    values.push(b.normalized_min(scheme, SchemeConfig::Baseline));
-                }
-            }
-            table.push_row(reference.workload.name(), values);
+            let cells = self
+                .cores
+                .iter()
+                .zip(&columns)
+                .flat_map(|(entry, columns)| {
+                    let b = &entry.study.workloads[row];
+                    debug_assert_eq!(b.workload, reference.workload, "entries share workload order");
+                    normalized_cells(b, SchemeConfig::Baseline, columns)
+                })
+                .collect();
+            table.push_optional_row(reference.workload.name(), cells);
         }
         table
     }
@@ -1035,27 +923,19 @@ impl CoreMatrixStudy {
     /// performance loss the out-of-order core's MLP was hiding: the in-order
     /// loss minus the out-of-order loss. Positive means the scheme looks
     /// cheaper on the paper's core than it is on a core that cannot overlap
-    /// misses. Returns `None` unless both backends evaluated the scheme.
+    /// misses. Returns `None` unless both backends define the scheme's
+    /// average.
     #[must_use]
     pub fn mlp_hidden_loss(&self, scheme: SchemeConfig) -> Option<f64> {
-        let per_core: Vec<f64> = self
+        let losses = self
             .cores
             .iter()
             .map(|entry| {
-                let study = &entry.study;
-                if study.workloads.is_empty() || !study.schemes().contains(&scheme) {
-                    return None;
-                }
-                let mean = study
-                    .workloads
-                    .iter()
-                    .map(|b| b.normalized_mean(scheme, SchemeConfig::Baseline))
-                    .sum::<f64>()
-                    / study.workloads.len() as f64;
-                Some(1.0 - mean)
+                average_normalized(&entry.study.workloads, scheme, SchemeConfig::Baseline)
+                    .map(|mean| 1.0 - mean)
             })
             .collect::<Option<Vec<f64>>>()?;
-        match per_core.as_slice() {
+        match losses.as_slice() {
             [ooo_loss, inorder_loss, ..] => Some(inorder_loss - ooo_loss),
             _ => None,
         }
@@ -1142,15 +1022,6 @@ pub struct GovernorStudy {
     pub workloads: Vec<GovernorBenchmarkResult>,
 }
 
-/// One unit of governor work.
-#[derive(Debug, Clone, Copy)]
-struct GovernorJob {
-    workload: Workload,
-    policy_index: usize,
-    /// Fault-map pair to evaluate, or `None` for a mapless (nominal-only) run.
-    pair_index: Option<usize>,
-}
-
 impl GovernorStudy {
     /// The cache configuration the governor runs on: block-disabling, the
     /// paper's scheme, whose low-voltage behavior is fault-map dependent.
@@ -1194,51 +1065,6 @@ impl GovernorStudy {
         VoltageScalingModel::ispass2010_operating_points()
     }
 
-    /// Runs one governed cell: one (workload, policy, fault-map pair).
-    fn run_cell(
-        params: &SimulationParams,
-        phases: &PhaseSchedule,
-        workload: Workload,
-        policy: &GovernorPolicy,
-        maps: Option<&(FaultMap, FaultMap)>,
-        l2_map: Option<&FaultMap>,
-    ) -> Option<GovernedRun> {
-        run_governed(&GovernedRunSpec {
-            workload,
-            core: params.core,
-            scheme: Self::SCHEME,
-            l2_scheme: params.l2.scheme_for(Self::SCHEME),
-            policy,
-            maps,
-            l2_map,
-            trace_seed: trace_seed(params, workload),
-            instructions: params.instructions,
-            phases: Some(phases),
-            cost: TransitionCostModel::Modeled,
-        })
-    }
-
-    /// Whether a policy is evaluated once per fault-map pair.
-    fn policy_map_dependent(policy: &GovernorPolicy) -> bool {
-        policy.uses_low_voltage() && Self::SCHEME.fault_dependent()
-    }
-
-    fn collect(policy: GovernorPolicy, outputs: Vec<Option<GovernedRun>>) -> GovernorPolicyResult {
-        let mut runs = Vec::new();
-        let mut whole_cache_failures = 0;
-        for output in outputs {
-            match output {
-                Some(run) => runs.push(run),
-                None => whole_cache_failures += 1,
-            }
-        }
-        GovernorPolicyResult {
-            policy,
-            runs,
-            whole_cache_failures,
-        }
-    }
-
     /// Runs the campaign on the rayon pool, fanning out over
     /// workload × policy × fault-map pair. All randomness derives from the
     /// master seed and results are reassembled in job order.
@@ -1248,7 +1074,9 @@ impl GovernorStudy {
     }
 
     /// Runs the campaign against a shared [`FaultMapPool`] (on the calling
-    /// thread when `serial`; the result is identical either way).
+    /// thread when `serial`; the result is identical either way). A policy
+    /// that uses the low-voltage mode runs once per fault-map pair; the
+    /// pinned-nominal reference runs once, without maps.
     #[must_use]
     pub fn run_with_pool(params: &SimulationParams, pool: &FaultMapPool, serial: bool) -> Self {
         debug_assert!(pool.matches(params), "fault-map pool built from different parameters");
@@ -1256,63 +1084,47 @@ impl GovernorStudy {
         let l2_maps = pool.l2_maps_if_needed(params.l2, &[Self::SCHEME]);
         let phases = Self::phase_schedule(params);
         let policies = Self::policies(params);
-
-        let mut jobs = Vec::new();
-        for &workload in &params.workloads {
-            for (policy_index, policy) in policies.iter().enumerate() {
-                if Self::policy_map_dependent(policy) {
-                    jobs.extend((0..pairs.len()).map(|pair_index| GovernorJob {
-                        workload,
-                        policy_index,
-                        pair_index: Some(pair_index),
-                    }));
-                } else {
-                    jobs.push(GovernorJob {
-                        workload,
-                        policy_index,
-                        pair_index: None,
-                    });
-                }
+        let cells: Vec<(Workload, &GovernorPolicy)> = params
+            .workloads
+            .iter()
+            .flat_map(|&workload| policies.iter().map(move |policy| (workload, policy)))
+            .collect();
+        let outputs = run_cells(
+            &cells,
+            |&(_, policy)| {
+                (policy.uses_low_voltage() && Self::SCHEME.fault_dependent()).then_some(pairs.len())
+            },
+            |&(workload, policy), pair| {
+                vec![run_governed(&GovernedRunSpec {
+                    workload,
+                    core: params.core,
+                    scheme: Self::SCHEME,
+                    l2_scheme: params.l2.scheme_for(Self::SCHEME),
+                    policy,
+                    maps: pair.map(|i| &pairs[i]),
+                    l2_map: pair.and_then(|i| l2_maps.get(i)),
+                    trace_seed: params.trace_seed(workload),
+                    instructions: params.instructions,
+                    phases: Some(&phases),
+                    cost: TransitionCostModel::Modeled,
+                })]
+            },
+            serial,
+        );
+        let mut results = cells.iter().zip(outputs).map(|(&(_, policy), outcomes)| {
+            let (runs, whole_cache_failures) = split_failures(outcomes);
+            GovernorPolicyResult {
+                policy: policy.clone(),
+                runs,
+                whole_cache_failures,
             }
-        }
-        let outputs = map_jobs(jobs, serial, |job| {
-            Self::run_cell(
-                params,
-                &phases,
-                job.workload,
-                &policies[job.policy_index],
-                job.pair_index.map(|i| &pairs[i]),
-                job.pair_index.and_then(|i| l2_maps.get(i)),
-            )
         });
-
-        // Reassemble in the same workload × policy × pair order the jobs were
-        // emitted in.
-        let mut cursor = outputs.into_iter();
         let workloads = params
             .workloads
             .iter()
             .map(|&workload| GovernorBenchmarkResult {
                 workload,
-                policies: policies
-                    .iter()
-                    .map(|policy| {
-                        let count = if Self::policy_map_dependent(policy) {
-                            pairs.len()
-                        } else {
-                            1
-                        };
-                        let outputs: Vec<Option<GovernedRun>> = (0..count)
-                            .map(|_| {
-                                cursor
-                                    .next()
-                                    // simlint::allow(panic-path, "outputs has exactly one slot per job by construction; a silent default would corrupt results")
-                                    .expect("job list and output list stay in sync")
-                            })
-                            .collect();
-                        Self::collect(policy.clone(), outputs)
-                    })
-                    .collect(),
+                policies: results.by_ref().take(policies.len()).collect(),
             })
             .collect();
         Self { workloads }
@@ -1321,7 +1133,7 @@ impl GovernorStudy {
     /// The governor figure table: per workload, each non-reference policy's
     /// relative performance (reference time / policy time), relative energy
     /// and relative EDP against the pinned-nominal reference. Cells whose
-    /// reference or policy could not be evaluated report 0 — never NaN.
+    /// reference or policy could not be evaluated are empty — never 0 or NaN.
     #[must_use]
     pub fn table(&self) -> FigureTable {
         let model = Self::scaling_model();
@@ -1343,18 +1155,15 @@ impl GovernorStudy {
                 let metrics = policy.mean_metrics(&model);
                 match (reference, metrics) {
                     (Some(r), Some(m)) if m.time > 0.0 && r.energy > 0.0 && r.edp > 0.0 => {
-                        values.push(r.time / m.time);
-                        values.push(m.energy / r.energy);
-                        values.push(m.edp / r.edp);
+                        values.extend([r.time / m.time, m.energy / r.energy, m.edp / r.edp].map(Some));
                     }
-                    _ => values.extend([0.0, 0.0, 0.0]),
+                    _ => values.extend([None; 3]),
                 }
             }
-            table.push_row(b.workload.name(), values);
+            table.push_optional_row(b.workload.name(), values);
         }
         table
     }
-
 }
 
 #[cfg(test)]
@@ -1380,9 +1189,9 @@ mod tests {
             whole_cache_failures: 0,
         };
         let r = make(&[(100, 100), (100, 200)]);
-        assert!((r.mean_ipc() - 0.75).abs() < 1e-12);
-        assert!((r.min_ipc() - 0.5).abs() < 1e-12);
-        assert_eq!(make(&[]).mean_ipc(), 0.0);
+        assert!((r.mean_ipc().unwrap() - 0.75).abs() < 1e-12);
+        assert!((r.min_ipc().unwrap() - 0.5).abs() < 1e-12);
+        assert_eq!(make(&[]).mean_ipc(), None);
     }
 
     #[test]
@@ -1392,9 +1201,10 @@ mod tests {
             runs: Vec::new(),
             whole_cache_failures: 3,
         };
-        assert_eq!(empty.mean_ipc(), 0.0);
-        assert_eq!(empty.min_ipc(), 0.0);
-        assert!(empty.mean_ipc().is_finite() && empty.min_ipc().is_finite());
+        // No evaluated fault map: the statistics do not exist, rather than
+        // reading as a zero (or NaN) IPC.
+        assert_eq!(empty.mean_ipc(), None);
+        assert_eq!(empty.min_ipc(), None);
     }
 
     #[test]
@@ -1423,7 +1233,7 @@ mod tests {
                 },
             ],
         };
-        // Empty baseline: the ratio is defined as 0, not NaN/inf.
+        // Empty baseline: the ratio does not exist (not 0, NaN or inf).
         for v in [
             b.normalized_mean(SchemeConfig::BlockDisabling, SchemeConfig::Baseline),
             b.normalized_min(SchemeConfig::BlockDisabling, SchemeConfig::Baseline),
@@ -1434,13 +1244,39 @@ mod tests {
             b.normalized_mean(SchemeConfig::BitFix, SchemeConfig::BlockDisabling),
             b.normalized_min(SchemeConfig::BlockDisabling, SchemeConfig::BitFix),
         ] {
-            assert_eq!(v, 0.0, "degenerate normalization must be exactly 0");
+            assert_eq!(v, None, "degenerate normalization must be undefined");
         }
-        // A study with no workloads averages to 0 as well.
+        // The average leaves undefined workloads out, like a table's mean
+        // footer, and a study with no defined workload has no average.
+        let defined = BenchmarkResult {
+            workload: Benchmark::Mcf.into(),
+            configs: vec![
+                ConfigResult {
+                    scheme: SchemeConfig::Baseline,
+                    runs: vec![run],
+                    whole_cache_failures: 0,
+                },
+                ConfigResult {
+                    scheme: SchemeConfig::BlockDisabling,
+                    runs: vec![run],
+                    whole_cache_failures: 0,
+                },
+            ],
+        };
+        let study = LowVoltageStudy {
+            workloads: vec![b, defined],
+        };
+        assert_eq!(
+            study.average_normalized(SchemeConfig::BlockDisabling, SchemeConfig::Baseline),
+            Some(1.0)
+        );
+        let figure8 = study.figure8();
+        assert_eq!(figure8.rows[0].1[1], None, "an undefined cell renders empty");
+        assert_eq!(figure8.rows[1].1[1], Some(1.0));
         let study = LowVoltageStudy { workloads: Vec::new() };
         assert_eq!(
             study.average_normalized(SchemeConfig::BlockDisabling, SchemeConfig::Baseline),
-            0.0
+            None
         );
     }
 
@@ -1507,8 +1343,8 @@ mod tests {
     #[test]
     fn fault_map_pairs_are_deterministic_and_distinct() {
         let params = SimulationParams::smoke();
-        let a = fault_map_pairs(&params);
-        let b = fault_map_pairs(&params);
+        let a = FaultMapPool::new(&params).pairs().to_vec();
+        let b = FaultMapPool::new(&params).pairs().to_vec();
         assert_eq!(a.len(), params.fault_map_pairs);
         assert_eq!(a, b);
         assert_ne!(a[0].0, a[0].1, "instruction and data maps differ");
@@ -1521,11 +1357,21 @@ mod tests {
         params.l2 = L2Protection::Matched;
         let pool = FaultMapPool::new(&params);
         assert!(pool.matches(&params));
-        assert_eq!(pool.pairs(), params.derived_fault_map_pairs());
-        assert_eq!(
-            pool.l2_maps_if_needed(L2Protection::Matched, &[SchemeConfig::BlockDisabling]),
-            params.derived_l2_fault_maps(&[SchemeConfig::BlockDisabling]).as_slice()
+        // The maps are derived from the master seed's own forks: L1 pairs
+        // from "fault-maps", L2 maps from "l2-fault-maps".
+        let mut seeds = SeedSequence::new(params.master_seed).fork("fault-maps");
+        let l1 = CacheGeometry::ispass2010_l1();
+        let first = (
+            FaultMap::generate(&l1, params.pfail, seeds.next_seed()),
+            FaultMap::generate(&l1, params.pfail, seeds.next_seed()),
         );
+        assert_eq!(pool.pairs()[0], first);
+        let mut l2_seeds = SeedSequence::new(params.master_seed).fork("l2-fault-maps");
+        let l2_map =
+            FaultMap::generate(&CacheGeometry::ispass2010_l2(), params.pfail, l2_seeds.next_seed());
+        let l2_maps = pool.l2_maps_if_needed(L2Protection::Matched, &[SchemeConfig::BlockDisabling]);
+        assert_eq!(l2_maps.len(), params.fault_map_pairs);
+        assert_eq!(l2_maps[0], l2_map);
         // A perfect L2 needs no maps and must not generate any.
         assert!(pool
             .l2_maps_if_needed(L2Protection::Perfect, &[SchemeConfig::BlockDisabling])
@@ -1562,12 +1408,12 @@ mod tests {
     fn trace_seeds_differ_per_benchmark_but_not_per_call() {
         let params = SimulationParams::smoke();
         assert_eq!(
-            trace_seed(&params, Benchmark::Crafty.into()),
-            trace_seed(&params, Benchmark::Crafty.into())
+            params.trace_seed(Benchmark::Crafty.into()),
+            params.trace_seed(Benchmark::Crafty.into())
         );
         assert_ne!(
-            trace_seed(&params, Benchmark::Crafty.into()),
-            trace_seed(&params, Benchmark::Mcf.into())
+            params.trace_seed(Benchmark::Crafty.into()),
+            params.trace_seed(Benchmark::Mcf.into())
         );
     }
 

@@ -29,8 +29,11 @@
 //! `YieldStudy` materializes a [`DieResult`] per die, which is the right shape
 //! for the quick-scale golden snapshots and the property tests but caps honest
 //! populations at thousands of dies. The fleet-scale streaming executor in
-//! [`crate::fleet`] runs the same per-die probe (bit-identically, by
-//! construction and by test) while holding memory flat at millions of dies.
+//! [`crate::fleet`] holds memory flat at millions of dies. Both executors take
+//! each die's seeds, fault maps and pass rule from the same three
+//! [`YieldParams`] helpers (`die_jobs`, `die_maps`, `operational_with`); this
+//! study scans the whole grid per die, the fleet binary-searches it, and the
+//! workspace tests pin that the two agree bit for bit.
 
 use vccmin_cache::repair::{registry, RepairScheme};
 use vccmin_fault::{CacheGeometry, DieVariation, FaultMap, SeedSequence, VariationModel};
@@ -180,8 +183,62 @@ impl Default for YieldParams {
 }
 
 /// One die's unit of work: its (variation, map) seed pair for the L1 plus the
-/// optional pair for the L2.
-type DieJob = ((u64, u64), Option<(u64, u64)>);
+/// pair for the L2 when the L2 floor is on.
+pub(crate) type DieJob = ((u64, u64), Option<(u64, u64)>);
+
+/// One die's fault maps at one voltage: the L1 map, plus the L2 map when the
+/// L2 floor is on.
+pub(crate) type DieMaps = (FaultMap, Option<FaultMap>);
+
+impl YieldParams {
+    /// The jobs of dies `[start, start + count)`: each die's L1 seed pair,
+    /// plus its L2 seed pair when [`YieldParams::include_l2`] is set.
+    pub(crate) fn die_jobs(&self, start: usize, count: usize) -> Vec<DieJob> {
+        let l2_seeds: Vec<Option<(u64, u64)>> = if self.include_l2 {
+            self.l2_die_seeds_range(start, count)
+                .into_iter()
+                .map(Some)
+                .collect()
+        } else {
+            vec![None; count]
+        };
+        self.die_seeds_range(start, count)
+            .into_iter()
+            .zip(l2_seeds)
+            .collect()
+    }
+
+    /// Samples one die's variation (on the L1, and on the L2 when the job
+    /// carries L2 seeds) and returns the die's fault maps as a function of
+    /// the supply voltage. Each array's map seed is fixed per die, so the
+    /// maps are nested across voltages.
+    pub(crate) fn die_maps(&self, ((die_seed, map_seed), l2_seeds): DieJob) -> impl Fn(f64) -> DieMaps {
+        let die = DieVariation::sample(&YieldStudy::geometry(), &self.variation, die_seed);
+        let l2_die = l2_seeds.map(|(l2_die_seed, l2_map_seed)| {
+            (
+                DieVariation::sample(&YieldStudy::l2_geometry(), &self.variation, l2_die_seed),
+                l2_map_seed,
+            )
+        });
+        move |v| {
+            (
+                FaultMap::generate_at_voltage(&die, v, map_seed),
+                l2_die
+                    .as_ref()
+                    .map(|(d, seed)| FaultMap::generate_at_voltage(d, v, *seed)),
+            )
+        }
+    }
+
+    /// The pass rule: `scheme` holds the capacity floor on the die's L1 map,
+    /// and on its L2 map when one was sampled.
+    pub(crate) fn operational_with(&self, scheme: &dyn RepairScheme, (map, l2_map): &DieMaps) -> bool {
+        scheme.meets_capacity_floor(map, self.min_capacity)
+            && l2_map
+                .as_ref()
+                .is_none_or(|m| scheme.meets_capacity_floor(m, self.min_capacity))
+    }
+}
 
 /// The outcome of one die: per repair scheme (registry order), whether the die
 /// is operational at each grid voltage and the resulting minimum operational
@@ -220,41 +277,23 @@ impl YieldStudy {
         CacheGeometry::ispass2010_l2()
     }
 
-    /// Evaluates one die: sample its variation, generate its fault map at
-    /// every grid voltage (nested, because the map seed is fixed per die) and
-    /// query every repair scheme's capacity — on the L1 alone, or on the L1
-    /// and the L2 when the die carries L2 seeds. Both executors run each die
-    /// through this single function, which is what makes them bit-identical.
-    /// The scheme registry is resolved once per campaign and threaded in, not
-    /// rebuilt per die.
+    /// Evaluates one die by a linear scan: its fault maps at every grid
+    /// voltage ([`YieldParams::die_maps`]) against every repair scheme's pass
+    /// rule ([`YieldParams::operational_with`]). The fleet executor probes
+    /// the same maps with the same rule by binary search. The scheme registry
+    /// is resolved once per campaign and threaded in, not rebuilt per die.
     fn run_die(
         params: &YieldParams,
         grid: &[f64],
         schemes: &[&'static dyn RepairScheme],
-        die_seed: u64,
-        map_seed: u64,
-        l2_seeds: Option<(u64, u64)>,
+        job: DieJob,
     ) -> DieResult {
-        let geometry = Self::geometry();
-        let die = DieVariation::sample(&geometry, &params.variation, die_seed);
-        let l2_die = l2_seeds.map(|(l2_die_seed, l2_map_seed)| {
-            (
-                DieVariation::sample(&Self::l2_geometry(), &params.variation, l2_die_seed),
-                l2_map_seed,
-            )
-        });
+        let maps_at = params.die_maps(job);
         let mut operational = vec![Vec::with_capacity(grid.len()); schemes.len()];
         for &v in grid {
-            let map = FaultMap::generate_at_voltage(&die, v, map_seed);
-            let l2_map = l2_die
-                .as_ref()
-                .map(|(d, seed)| FaultMap::generate_at_voltage(d, v, *seed));
-            for (i, scheme) in schemes.iter().enumerate() {
-                let ok = scheme.meets_capacity_floor(&map, params.min_capacity)
-                    && l2_map
-                        .as_ref()
-                        .is_none_or(|m| scheme.meets_capacity_floor(m, params.min_capacity));
-                operational[i].push(ok);
+            let maps = maps_at(v);
+            for (flags, &scheme) in operational.iter_mut().zip(schemes) {
+                flags.push(params.operational_with(scheme, &maps));
             }
         }
         // Fault maps are nested across the descending grid and capacity is
@@ -273,15 +312,6 @@ impl YieldStudy {
         }
     }
 
-    /// One optional L2 seed pair per die: `None`s when the L2 floor is off.
-    fn l2_seed_iter(params: &YieldParams) -> Vec<Option<(u64, u64)>> {
-        if params.include_l2 {
-            params.l2_die_seeds().into_iter().map(Some).collect()
-        } else {
-            vec![None; params.dies]
-        }
-    }
-
     /// Runs the campaign on the rayon pool, one job per die, scanning every
     /// grid voltage per die. Every seed is derived up front and results are
     /// reassembled in die order, so the worker count never changes a bit.
@@ -289,13 +319,8 @@ impl YieldStudy {
     pub fn run_parallel(params: &YieldParams) -> Self {
         let grid = params.voltage_grid();
         let schemes = registry();
-        let jobs: Vec<DieJob> = params
-            .die_seeds()
-            .into_iter()
-            .zip(Self::l2_seed_iter(params))
-            .collect();
-        let dies = map_jobs(jobs, false, |((die_seed, map_seed), l2_seeds)| {
-            Self::run_die(params, &grid, &schemes, die_seed, map_seed, l2_seeds)
+        let dies = map_jobs(params.die_jobs(0, params.dies), false, |job| {
+            Self::run_die(params, &grid, &schemes, job)
         });
         Self {
             params: params.clone(),
@@ -517,12 +542,9 @@ mod tests {
         let grid = params.voltage_grid();
         let schemes = registry();
         let dies = params
-            .die_seeds()
+            .die_jobs(0, params.dies)
             .into_iter()
-            .zip(YieldStudy::l2_seed_iter(&params))
-            .map(|((die_seed, map_seed), l2)| {
-                YieldStudy::run_die(&params, &grid, &schemes, die_seed, map_seed, l2)
-            })
+            .map(|job| YieldStudy::run_die(&params, &grid, &schemes, job))
             .collect();
         let serial = YieldStudy {
             params: params.clone(),

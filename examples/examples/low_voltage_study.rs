@@ -46,12 +46,14 @@ fn main() {
     let block = study.average_normalized(SchemeConfig::BlockDisabling, SchemeConfig::Baseline);
     let block_vc =
         study.average_normalized(SchemeConfig::BlockDisablingVictim10T, SchemeConfig::Baseline);
+    // An average is `None` when no fault map of the scheme could be repaired.
+    let percent = |v: Option<f64>| v.map_or_else(|| "n/a".to_string(), |v| format!("{:.1}%", 100.0 * v));
     println!("== headline comparison (paper: word 88.8%, block 91.7%, block+V$ 94.7%) ==");
-    println!("word disabling        : {:.1}% of baseline", 100.0 * word);
-    println!("block disabling       : {:.1}% of baseline", 100.0 * block);
-    println!("block disabling + V$  : {:.1}% of baseline", 100.0 * block_vc);
+    println!("word disabling        : {} of baseline", percent(word));
+    println!("block disabling       : {} of baseline", percent(block));
+    println!("block disabling + V$  : {} of baseline", percent(block_vc));
     println!(
-        "block disabling + V$ outperforms word disabling by {:.1}% on average",
-        100.0 * (block_vc / word - 1.0)
+        "block disabling + V$ outperforms word disabling by {} on average",
+        percent(word.zip(block_vc).map(|(word, block_vc)| block_vc / word - 1.0))
     );
 }

@@ -1,6 +1,7 @@
 //! Contract tests of the `vccmin-repro` CLI: the worker count never reaches
-//! the result bytes, and bad flags are parse errors, not panics or silently
-//! ignored input.
+//! the result bytes, bad flags are parse errors, not panics or silently
+//! ignored input, and a value that does not exist prints as an empty cell or
+//! `n/a`, never as a zero.
 //!
 //! `RAYON_NUM_THREADS=1` is the one way to run single-threaded (the pool then
 //! maps every job in order on the calling thread), so the tests compare the
@@ -99,4 +100,35 @@ fn serial_flag_is_gone() {
     let out = repro(&["schemes", "--smoke", "--serial"], "1");
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option --serial"));
+}
+
+/// A scheme none of whose fault maps can be repaired has no performance: its
+/// cells are empty and its summary reads `n/a`, not a `0.000000` cell that
+/// reads as "loses all performance" or a summary gain of `inf%`. At
+/// `--pfail 0.02` word disabling cannot repair any fault map of the smoke
+/// campaign.
+#[test]
+fn unrepairable_schemes_render_empty_cells_not_zeros() {
+    let flags = ["--smoke", "--pfail", "0.02", "--pairs", "2", "--instructions", "3000", "--csv"];
+    let schemes = repro(&[&["schemes"][..], &flags[..]].concat(), "2");
+    assert!(schemes.status.success());
+    let csv = String::from_utf8_lossy(&schemes.stdout);
+    let mut lines = csv.lines();
+    let header: Vec<&str> = lines.next().expect("a CSV header").split(',').collect();
+    let word = header.iter().position(|&l| l == "word disabling avg").expect("a word column");
+    for line in lines {
+        let cells: Vec<&str> = line.split(',').collect();
+        assert_eq!(cells.len(), header.len(), "{line}");
+        assert_eq!(&cells[word..word + 2], ["", ""], "word disabling must be empty: {line}");
+        assert!(cells[1..].iter().all(|&c| c != "0.000000"), "silent zero in {line}");
+    }
+
+    let lowvolt = repro(&[&["lowvolt"][..], &flags[..]].concat(), "2");
+    assert!(lowvolt.status.success());
+    let stdout = String::from_utf8_lossy(&lowvolt.stdout);
+    assert!(!stdout.contains("0.000000"), "silent zero in:\n{stdout}");
+    let stderr = String::from_utf8_lossy(&lowvolt.stderr);
+    assert!(stderr.contains("word=n/a"), "{stderr}");
+    assert!(stderr.contains("improves on word by n/a"), "{stderr}");
+    assert!(!stderr.contains("inf%"), "{stderr}");
 }

@@ -154,7 +154,8 @@ proptest! {
 fn pinned_in_order_governor_replays_the_in_order_campaign_bit_for_bit() {
     let params = small_params(CoreModel::InOrder, 42, 6_000);
     let study = LowVoltageStudy::run_parallel(&params);
-    let pairs = params.derived_fault_map_pairs();
+    let pool = FaultMapPool::new(&params);
+    let pairs = pool.pairs();
     for b in &study.workloads {
         let config = b
             .config(SchemeConfig::BlockDisabling)
@@ -189,7 +190,7 @@ fn pinned_in_order_governor_replays_the_in_order_campaign_bit_for_bit() {
 fn interval_governor_switches_modes_on_the_in_order_core() {
     let params = small_params(CoreModel::InOrder, 7, 8_000);
     let workload = params.workloads[0];
-    let pair = &params.derived_fault_map_pairs()[0];
+    let pair = &FaultMapPool::new(&params).pairs()[0].clone();
     let run = run_governed(&GovernedRunSpec {
         workload,
         core: CoreModel::InOrder,
@@ -211,10 +212,11 @@ fn interval_governor_switches_modes_on_the_in_order_core() {
     assert_eq!(run.transitions, 1);
     assert_eq!(run.instructions(), 8_000);
     // The one modeled transition (exiting nominal mode) drains the in-order
-    // core's shallow window: front end (10) + issue group (1) + L2 (20) +
-    // memory at high voltage (255), plus block-disabling reconfiguration of
-    // both 64-set L1s — cheaper than the out-of-order core's ROB drain, which
-    // the governor unit tests pin at 10 + 32 + 20 + 255 + 2 * 64.
+    // core's shallow window: front end (10) + one in-flight instruction (1)
+    // + L2 (20) + memory at high voltage (255), plus block-disabling
+    // reconfiguration of both 64-set L1s — cheaper than the out-of-order
+    // core's ROB drain, which the governor unit tests pin at
+    // 10 + 32 + 20 + 255 + 2 * 64.
     assert_eq!(run.transition_cycles_nominal, 10 + 1 + 20 + 255 + 2 * 64);
     assert_eq!(run.transition_cycles_low, 0);
 }

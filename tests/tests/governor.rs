@@ -13,7 +13,7 @@ use proptest::prelude::*;
 
 use vccmin_core::analysis::governor as model;
 use vccmin_core::cache::VoltageMode;
-use vccmin_core::experiments::simulation::GovernorStudy;
+use vccmin_core::experiments::simulation::{FaultMapPool, GovernorStudy};
 use vccmin_core::experiments::{
     run_governed, Workload, GovernedRun, GovernedRunSpec, GovernorPolicy, HighVoltageStudy, LowVoltageStudy,
     SchemeConfig, SimulationParams, TransitionCostModel,
@@ -56,7 +56,8 @@ fn pinned_run(
 fn pinned_low_governor_is_bit_identical_to_the_low_voltage_study() {
     let params = small_params(vec![Benchmark::Crafty, Benchmark::Swim], 6_000);
     let study = LowVoltageStudy::run_parallel(&params);
-    let pairs = params.derived_fault_map_pairs();
+    let pool = FaultMapPool::new(&params);
+    let pairs = pool.pairs();
     for b in &study.workloads {
         let config = b
             .config(SchemeConfig::BlockDisabling)
@@ -99,7 +100,7 @@ fn closed_form_overhead_model_cross_validates_the_simulation() {
     let scaling = GovernorStudy::scaling_model();
     for benchmark in [Benchmark::Gzip, Benchmark::Swim] {
         let params = small_params(vec![benchmark], 12_000);
-        let pair = &params.derived_fault_map_pairs()[0];
+        let pair = &FaultMapPool::new(&params).pairs()[0].clone();
         let quantum = 3_000;
         let cost = 500u64;
 
@@ -169,7 +170,7 @@ proptest! {
     ) {
         let benchmark = [Benchmark::Gzip, Benchmark::Swim, Benchmark::Crafty, Benchmark::Mcf][bench_idx];
         let params = small_params(vec![benchmark], 6_000);
-        let pair = &params.derived_fault_map_pairs()[0];
+        let pair = &FaultMapPool::new(&params).pairs()[0].clone();
         let run_with_quantum = |quantum: u64| -> GovernedRun {
             run_governed(&GovernedRunSpec {
                 workload: benchmark.into(),
@@ -214,7 +215,7 @@ proptest! {
     ) {
         let benchmark = Benchmark::Gzip;
         let params = small_params(vec![benchmark], 4_000);
-        let pair = &params.derived_fault_map_pairs()[0];
+        let pair = &FaultMapPool::new(&params).pairs()[0].clone();
         let run = run_governed(&GovernedRunSpec {
             workload: benchmark.into(),
             core: CoreModel::OutOfOrder,

@@ -86,7 +86,9 @@ fn mixed_synthetic_and_riscv_campaigns_run_side_by_side() {
     let study = LowVoltageStudy::run_parallel(&params);
     assert_eq!(study.workloads.len(), 2);
     for b in &study.workloads {
-        let v = b.normalized_mean(SchemeConfig::BlockDisabling, SchemeConfig::Baseline);
+        let v = b
+            .normalized_mean(SchemeConfig::BlockDisabling, SchemeConfig::Baseline)
+            .unwrap();
         assert!(
             v > 0.5 && v <= 1.01,
             "{}: normalized performance out of range: {v}",
@@ -103,7 +105,7 @@ fn pinned_governor_on_a_riscv_kernel_replays_the_campaign_bit_for_bit() {
     let config = study.workloads[0]
         .config(SchemeConfig::BlockDisabling)
         .expect("the study evaluates block-disabling");
-    for (k, pair) in params.derived_fault_map_pairs().iter().enumerate() {
+    for (k, pair) in FaultMapPool::new(&params).pairs().iter().enumerate() {
         let governed = run_governed(&GovernedRunSpec {
             workload,
             core: CoreModel::OutOfOrder,
@@ -130,7 +132,7 @@ fn pinned_governor_on_a_riscv_kernel_replays_the_campaign_bit_for_bit() {
 fn interval_governor_executes_a_riscv_kernel_across_mode_switches() {
     let params = small_riscv_params(vec![RvKernel::HashJoin], 12_000);
     let workload = params.workloads[0];
-    let pair = &params.derived_fault_map_pairs()[0];
+    let pair = &FaultMapPool::new(&params).pairs()[0].clone();
     let run = run_governed(&GovernedRunSpec {
         workload,
         core: CoreModel::OutOfOrder,
