@@ -94,7 +94,6 @@ pub use geometry::ArrayGeometry;
 /// exponential function of the voltage deficit below Vcc-min. This type is a thin
 /// validated wrapper so the rest of the crate can assume `0.0 <= pfail <= 1.0`.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CellPfail(f64);
 
 impl CellPfail {

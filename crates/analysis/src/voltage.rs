@@ -11,7 +11,6 @@
 
 /// A point on the voltage-scaling curves of Fig. 1.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ScalingPoint {
     /// Normalized frequency (x-axis), in `[0, 1]`.
     pub frequency: f64,
@@ -25,7 +24,6 @@ pub struct ScalingPoint {
 
 /// The three operating regions of Fig. 1b.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum OperatingRegion {
     /// Above Vcc-min, voltage scales with frequency: cubic power reduction.
     Cubic,
@@ -40,7 +38,6 @@ pub enum OperatingRegion {
 /// Model of classic dynamic voltage scaling (Fig. 1a) and of scaling extended below
 /// Vcc-min (Fig. 1b).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VoltageScalingModel {
     /// Normalized frequency at which voltage reaches Vcc-min.
     pub vccmin_frequency: f64,

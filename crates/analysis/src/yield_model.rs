@@ -17,8 +17,9 @@
 //!   capacity floor under block-disabling ([`block_disable_yield`]) or remains
 //!   repairable at all under word-disabling ([`word_disable_yield`]).
 //!
-//! The Monte-Carlo die populations of `vccmin-experiments`' `YieldStudy` are
-//! cross-validated against these closed forms in the i.i.d. limit.
+//! The Monte-Carlo die populations of `vccmin-experiments`' yield campaign
+//! (run by its `FleetStudy` executor) are cross-validated against these
+//! closed forms in the i.i.d. limit.
 
 use crate::block_faults;
 use crate::capacity::CapacityDistribution;
@@ -47,7 +48,6 @@ pub const PFAIL_VOLTAGE_TABLE: [(f64, f64); 5] = [
 /// ([`PfailVoltageModel::voltage_for_pfail`]), which the yield studies use to
 /// express "the paper's `pfail` points" as die voltages.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PfailVoltageModel {
     /// Normalized voltage of the calibration anchor.
     pub anchor_voltage: f64,

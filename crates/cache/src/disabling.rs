@@ -11,11 +11,10 @@
 
 use vccmin_fault::{CacheGeometry, CellTechnology, FaultMap};
 
-use crate::repair::{RepairScheme, WayDisableMask, WordDisablingScheme};
+use crate::repair::{RepairScheme, WayDisableMask};
 
 /// Supply-voltage operating mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum VoltageMode {
     /// At or above Vcc-min: every cell is reliable, fault maps are ignored.
     High,
@@ -26,7 +25,6 @@ pub enum VoltageMode {
 
 /// Identifier of the cache fault-repair scheme in use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DisablingScheme {
     /// No scheme: an idealized cache that is assumed fault free at any voltage.
     /// Used as the normalization reference in the paper's figures.
@@ -94,18 +92,10 @@ impl DisablingScheme {
     pub fn extra_l2_latency(self, mode: VoltageMode) -> u32 {
         self.repair().extra_l2_latency(mode)
     }
-
-    /// Words per word-disable subblock (8 in the paper). Only meaningful for
-    /// [`DisablingScheme::WordDisabling`].
-    #[must_use]
-    pub fn subblock_words(self) -> u8 {
-        WordDisablingScheme::SUBBLOCK_WORDS
-    }
 }
 
 /// Configuration of a victim cache attached to an L1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VictimCacheConfig {
     /// Number of physical entries (16 in the paper).
     pub entries: usize,
@@ -154,7 +144,6 @@ impl VictimCacheConfig {
 
 /// Configuration of one L1 cache (instruction or data side).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct L1Config {
     /// Physical geometry of the cache at high voltage.
     pub geometry: CacheGeometry,
@@ -289,10 +278,6 @@ impl std::fmt::Display for DisableError {
 }
 
 impl std::error::Error for DisableError {}
-
-/// Alias kept for API clarity: a low-voltage configuration is an [`L1Config`]
-/// resolved with [`L1Config::effective_organization`] in [`VoltageMode::Low`].
-pub type LowVoltageConfig = L1Config;
 
 #[cfg(test)]
 mod tests {

@@ -48,7 +48,6 @@ use crate::victim::VictimCache;
 
 /// Which level of the hierarchy served an access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum HitLevel {
     /// Served by the L1 (instruction or data).
     L1,
@@ -62,7 +61,6 @@ pub enum HitLevel {
 
 /// Result of one hierarchy access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AccessResult {
     /// Total access latency in cycles.
     pub latency: u32,
@@ -72,7 +70,6 @@ pub struct AccessResult {
 
 /// Configuration of the whole hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HierarchyConfig {
     /// Instruction-side L1 configuration.
     pub l1i: L1Config,

@@ -11,9 +11,9 @@
 //!   voltage, per-fault-map capacity and the closed-form expected capacity. The
 //!   [`repair::registry`] lists the five shipped schemes: baseline,
 //!   block-disabling, word-disabling, bit-fix and way-sacrifice;
-//! * [`DisablingScheme`] and [`LowVoltageConfig`] — the `Copy`/serde identifiers
-//!   configurations embed; [`DisablingScheme::repair`] resolves an identifier to
-//!   its trait implementation;
+//! * [`DisablingScheme`] — the `Copy` identifier configurations embed;
+//!   [`DisablingScheme::repair`] resolves an identifier to its trait
+//!   implementation;
 //! * [`CacheHierarchy`] — L1 instruction + data caches (optionally with victim
 //!   caches), a unified L2 and a flat memory latency, returning per-access latencies
 //!   that the CPU model consumes;
@@ -59,8 +59,7 @@ pub mod stats;
 pub mod victim;
 
 pub use disabling::{
-    DisableError, DisablingScheme, EffectiveL1, L1Config, LowVoltageConfig, VictimCacheConfig,
-    VoltageMode,
+    DisableError, DisablingScheme, EffectiveL1, L1Config, VictimCacheConfig, VoltageMode,
 };
 pub use hierarchy::{AccessResult, CacheHierarchy, HierarchyConfig, HitLevel};
 pub use repair::{RepairScheme, ResolvedOrganization, WayDisableMask};

@@ -42,7 +42,6 @@ use crate::stats::CacheStats;
 
 /// Outcome of a single cache lookup (possibly with allocation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AccessOutcome {
     /// Whether the lookup hit.
     pub hit: bool,

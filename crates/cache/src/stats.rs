@@ -2,7 +2,6 @@
 
 /// Access counters for a single cache structure.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CacheStats {
     /// Total number of lookups.
     pub accesses: u64,
@@ -49,7 +48,6 @@ impl CacheStats {
 
 /// Counters for a full hierarchy (L1I, L1D, their victim caches, L2, memory).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HierarchyStats {
     /// L1 instruction cache counters.
     pub l1i: CacheStats,

@@ -4,7 +4,6 @@ use crate::instruction::OpClass;
 
 /// Structural parameters of the out-of-order core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CpuConfig {
     /// Instructions fetched per cycle (4 in the paper).
     pub fetch_width: u32,

@@ -83,7 +83,6 @@ impl Cpu for Pipeline {
 /// Which CPU backend a campaign simulates — a first-class study axis alongside
 /// the repair scheme and the L2 protection level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CoreModel {
     /// The paper's Alpha-21264-like out-of-order core (Table II): MLP from the
     /// reorder buffer, issue queues and load/store queue hides much of each

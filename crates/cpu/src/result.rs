@@ -4,7 +4,6 @@ use vccmin_cache::HierarchyStats;
 
 /// Outcome of simulating a trace on the pipeline model.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimResult {
     /// Instructions committed.
     pub instructions: u64,

@@ -562,10 +562,10 @@ fn run_yield(
     checkpoint: Option<&str>,
     csv: bool,
 ) -> Result<(), String> {
-    // Every scale runs through the streaming fleet executor: its shard
-    // aggregation is byte-identical to the materializing `YieldStudy` (pinned
-    // by the workspace tests), holds memory flat at millions of dies, and can
-    // resume from a `--checkpoint` directory.
+    // Every scale runs through the fleet executor, the campaign's only one:
+    // it holds memory flat at millions of dies and can resume from a
+    // `--checkpoint` directory (the workspace tests pin it to a linear-scan
+    // oracle and to `tests/golden/yield.csv`).
     let fleet = FleetParams::new(params.clone());
     eprintln!(
         "running yield study: {} dies x {} grid voltages ({:.3} down to {:.3}), capacity floor {:.0}%, {} shards of {} dies ({})",
@@ -581,7 +581,7 @@ fn run_yield(
     let study = match checkpoint {
         Some(dir) => {
             eprintln!("checkpointing shards to {dir} (fingerprint {:016x})", fleet.fingerprint());
-            FleetStudy::run_checkpointed(&fleet, std::path::Path::new(dir), true)
+            FleetStudy::run_checkpointed(&fleet, std::path::Path::new(dir))
                 .map_err(|e| format!("checkpoint directory {dir}: {e}"))?
         }
         None => FleetStudy::run_parallel(&fleet),
@@ -594,17 +594,17 @@ fn run_yield(
 }
 
 /// Per-scheme Vcc-min stderr diagnostics; a scheme with zero live dies has no
-/// Vcc-min cells and prints as dead.
+/// Vcc-min cells and prints as dead, and a missing dead fraction prints `n/a`.
 fn print_summary_diagnostics(summary: &FigureTable) {
     // Diagnostics go to stderr so `--csv` stdout stays machine-parseable.
     for (scheme, values) in &summary.rows {
-        let dead = 100.0 * values[3].unwrap_or(0.0);
+        let dead = percent(values[3]);
         match (values[0], values[1], values[2]) {
             (Some(mean), Some(best), Some(worst)) => eprintln!(
-                "summary: {scheme:<24} mean Vcc-min {mean:.3}  best {best:.3}  worst {worst:.3}  dead {dead:.1}%"
+                "summary: {scheme:<24} mean Vcc-min {mean:.3}  best {best:.3}  worst {worst:.3}  dead {dead}"
             ),
             _ => eprintln!(
-                "summary: {scheme:<24} dead at every grid voltage ({dead:.1}% of dies)"
+                "summary: {scheme:<24} dead at every grid voltage ({dead} of dies)"
             ),
         }
     }

@@ -1,12 +1,11 @@
-//! The fleet-scale yield executor: the [`crate::yield_study`] campaign,
-//! restructured to run over millions of dies with flat memory and a
-//! checkpointable, resumable work queue.
+//! The yield campaign's executor: the [`crate::yield_study`] campaign run
+//! over any population — from the quick-scale golden to millions of dies —
+//! with flat memory and a checkpointable, resumable work queue.
 //!
-//! [`YieldStudy`](crate::yield_study::YieldStudy) materializes a `DieResult`
-//! per die — the right shape for golden snapshots and property tests, but
-//! `O(dies)` memory. This module probes each die with the same
-//! [`YieldParams`] die jobs, fault maps and pass rule as `YieldStudy`, and
-//! reduces every die to a constant-size integer aggregate on the fly:
+//! Each die is probed through three private steps: its seed pairs
+//! ([`YieldParams::die_seeds_range`], plus the L2 pairs when the L2 floor is
+//! on), its fault maps as a function of the supply, and the pass rule (every
+//! sampled array holds the capacity floor). The campaign is then:
 //!
 //! * **Sharding** — the population is split into fixed runs of
 //!   [`FleetParams::shard_dies`] consecutive dies. Each shard draws its seed
@@ -30,23 +29,21 @@
 //!   uninterrupted run's.
 //!
 //! The per-scheme Vcc-min distribution is additionally exposed as an exact
-//! [`GridQuantileSketch`], and both report tables render through the same
-//! `pub(crate)` builders as `YieldStudy` — the two executors produce
-//! byte-identical CSV for the same [`YieldParams`], which the workspace
-//! integration tests pin.
+//! [`GridQuantileSketch`]. The workspace test `tests/tests/yield_oracle.rs`
+//! rebuilds every die by a linear scan over public calls and pins the
+//! histograms and every yield-curve cell to it.
 
 use std::io;
 use std::path::Path;
 
 use vccmin_analysis::quantile::GridQuantileSketch;
 use vccmin_cache::repair::{registry, RepairScheme};
+use vccmin_fault::{DieVariation, FaultMap};
 
 use crate::checkpoint::{fnv1a64, CheckpointStore, ShardRecord};
 use crate::map_jobs;
 use crate::report::FigureTable;
-use crate::yield_study::{
-    vccmin_summary_table, yield_curve_table, DieJob, DieMaps, YieldParams, YieldStudy,
-};
+use crate::yield_study::{YieldParams, YieldStudy};
 
 /// Parameters of a fleet campaign: a yield campaign plus its shard size.
 #[derive(Debug, Clone, PartialEq)]
@@ -138,11 +135,10 @@ impl FleetStudy {
     /// merging is order-independent, so the worker count never changes a bit.
     #[must_use]
     pub fn run_parallel(params: &FleetParams) -> Self {
-        let grid = params.yields.voltage_grid();
-        let schemes = registry();
-        let indices: Vec<u64> = (0..params.shard_count() as u64).collect();
-        let records = map_jobs(indices, false, |s| compute_shard(params, &grid, &schemes, s));
-        Self::aggregate(params, grid, records)
+        let Ok(study) = Self::run(params, None) else {
+            unreachable!("a campaign without a checkpoint store does no I/O");
+        };
+        study
     }
 
     /// Runs the campaign against a checkpoint directory: shards already
@@ -150,48 +146,44 @@ impl FleetStudy {
     /// instead of recomputed, freshly computed shards are persisted before the
     /// campaign aggregates, and the final aggregate is byte-identical to an
     /// uninterrupted run's. Invalid, truncated or foreign-parameter shard
-    /// files are treated as missing and recomputed. `parallel` runs the
-    /// missing shards on the rayon pool instead of the calling thread.
+    /// files are treated as missing and recomputed.
     ///
     /// # Errors
     ///
     /// Returns any I/O error from reading or writing the checkpoint directory.
-    pub fn run_checkpointed(params: &FleetParams, dir: &Path, parallel: bool) -> io::Result<Self> {
+    pub fn run_checkpointed(params: &FleetParams, dir: &Path) -> io::Result<Self> {
+        let store = CheckpointStore::open(dir, params.fingerprint())?;
+        Self::run(params, Some(&store))
+    }
+
+    /// The one campaign body: every shard on the rayon pool, each loaded
+    /// from `store` when a valid record is there and computed otherwise.
+    fn run(params: &FleetParams, store: Option<&CheckpointStore>) -> io::Result<Self> {
         let grid = params.yields.voltage_grid();
         let schemes = registry();
-        let store = CheckpointStore::open(dir, params.fingerprint())?;
-        let shard_count = params.shard_count();
-
-        let mut records: Vec<Option<ShardRecord>> = Vec::with_capacity(shard_count);
-        let mut missing = Vec::new();
-        for s in 0..shard_count as u64 {
-            let (start, count) = params.shard_bounds(s);
-            let record = store
-                .load(s, schemes.len(), grid.len())?
-                .filter(|r| r.die_start == start as u64 && r.die_count == count as u64);
-            if record.is_none() {
-                missing.push(s);
-            }
-            records.push(record);
-        }
-
+        let indices: Vec<u64> = (0..params.shard_count() as u64).collect();
         // Persist each shard the moment it finishes — from inside the worker,
         // not after the whole batch — so a killed campaign keeps everything it
         // completed and a resume recomputes only the remainder.
-        let step = |s: u64| -> io::Result<ShardRecord> {
+        let shard = |s: u64| -> io::Result<ShardRecord> {
+            let Some(store) = store else {
+                return Ok(compute_shard(params, &grid, &schemes, s));
+            };
+            let (start, count) = params.shard_bounds(s);
+            let saved = store
+                .load(s, schemes.len(), grid.len())?
+                .filter(|r| r.die_start == start as u64 && r.die_count == count as u64);
+            if let Some(record) = saved {
+                return Ok(record);
+            }
             let fresh = compute_shard(params, &grid, &schemes, s);
             store.save(&fresh)?;
             Ok(fresh)
         };
-        for result in map_jobs(missing, !parallel, step) {
-            let record = result?;
-            let slot = record.shard_index as usize;
-            records[slot] = Some(record);
-        }
-
-        let complete: Vec<ShardRecord> = records.into_iter().flatten().collect();
-        assert_eq!(complete.len(), shard_count, "every shard must resolve");
-        Ok(Self::aggregate(params, grid, complete))
+        let records = map_jobs(indices, false, shard)
+            .into_iter()
+            .collect::<io::Result<Vec<_>>>()?;
+        Ok(Self::aggregate(params, grid, records))
     }
 
     /// Merges shard records (any order — integer addition commutes) into the
@@ -221,13 +213,19 @@ impl FleetStudy {
         }
     }
 
-    /// The yield-vs-voltage curves, byte-identical to
-    /// [`YieldStudy::yield_curve`](crate::yield_study::YieldStudy::yield_curve)
-    /// for the same [`YieldParams`]: a die is operational at grid index `k`
-    /// exactly when its minimum-voltage index is `>= k` (the true-prefix
-    /// structure), so the operational counts are suffix sums of the histogram.
+    /// The yield-vs-voltage curves: one row per grid voltage (highest
+    /// first), one column per repair scheme, each cell the fraction of dies
+    /// operational at that voltage (empty for an empty population). A die is
+    /// operational at grid index `k` exactly when its minimum-voltage index is
+    /// `>= k` (the true-prefix structure), so the operational counts are
+    /// suffix sums of the histogram.
     #[must_use]
     pub fn yield_curve(&self) -> FigureTable {
+        let mut table = FigureTable::new(
+            "Yield study: fraction of dies operational vs supply voltage",
+            "voltage",
+            YieldStudy::scheme_labels(),
+        );
         let ok_counts: Vec<Vec<u64>> = self
             .hist
             .iter()
@@ -241,16 +239,65 @@ impl FleetStudy {
                 suffix
             })
             .collect();
-        yield_curve_table(&self.grid, &ok_counts, self.dies)
+        for (k, &v) in self.grid.iter().enumerate() {
+            let values = ok_counts
+                .iter()
+                .map(|counts| self.fraction_of_dies(counts[k]))
+                .collect();
+            table.push_optional_row(format!("{v:.3}"), values);
+        }
+        table
     }
 
-    /// The per-scheme Vcc-min summary, byte-identical to
-    /// [`YieldStudy::vccmin_summary`](crate::yield_study::YieldStudy::vccmin_summary)
-    /// for the same [`YieldParams`] — both render the same integer histogram
-    /// through the same table builder.
+    /// The per-scheme Vcc-min distribution over the die population: mean,
+    /// best (lowest) and worst (highest) minimum operational voltage among
+    /// dies that run at all, plus the fraction of dead dies (not operational
+    /// even at the top of the grid). A scheme with zero live dies has *no*
+    /// Vcc-min — its mean/best/worst cells are empty ([`None`]), not a
+    /// too-good-to-be-true `0.0`, and they are excluded from the CSV `mean`
+    /// footer; an empty population has no dead fraction either. All
+    /// statistics are computed from the histogram in ascending grid-index
+    /// order, so the same integer counts always render the same bytes.
     #[must_use]
     pub fn vccmin_summary(&self) -> FigureTable {
-        vccmin_summary_table(&self.grid, &self.hist, &self.dead, self.dies)
+        let mut table = FigureTable::new(
+            "Yield study: die Vcc-min distribution per repair scheme",
+            "scheme",
+            vec![
+                "mean Vcc-min".into(),
+                "best Vcc-min".into(),
+                "worst Vcc-min".into(),
+                "dead fraction".into(),
+            ],
+        );
+        for (i, (label, counts)) in YieldStudy::scheme_labels()
+            .into_iter()
+            .zip(&self.hist)
+            .enumerate()
+        {
+            let alive: u64 = counts.iter().sum();
+            let stats = if alive == 0 {
+                [None, None, None]
+            } else {
+                let sum: f64 = self
+                    .grid
+                    .iter()
+                    .zip(counts)
+                    .map(|(&v, &c)| v * c as f64)
+                    .sum();
+                // The grid is highest-first, so the *best* (lowest) Vcc-min
+                // sits at the largest populated index and the worst at the
+                // smallest.
+                let best = counts.iter().rposition(|&c| c > 0).map(|k| self.grid[k]);
+                let worst = counts.iter().position(|&c| c > 0).map(|k| self.grid[k]);
+                [Some(sum / alive as f64), best, worst]
+            };
+            table.push_optional_row(
+                label,
+                vec![stats[0], stats[1], stats[2], self.dead_fraction(i)],
+            );
+        }
+        table
     }
 
     /// The exact quantile sketch of scheme `scheme_index`'s Vcc-min
@@ -278,16 +325,82 @@ impl FleetStudy {
         sketch
     }
 
-    /// Fraction of dies dead under scheme `scheme_index` (zero for an empty
-    /// population).
+    /// Fraction of dies dead under scheme `scheme_index`, or [`None`] for an
+    /// empty population.
     #[must_use]
-    pub fn dead_fraction(&self, scheme_index: usize) -> f64 {
-        if self.dies == 0 {
-            0.0
-        } else {
-            self.dead[scheme_index] as f64 / self.dies as f64
-        }
+    pub fn dead_fraction(&self, scheme_index: usize) -> Option<f64> {
+        self.fraction_of_dies(self.dead[scheme_index])
     }
+
+    /// `count` as a fraction of the population; [`None`] when it is empty.
+    fn fraction_of_dies(&self, count: u64) -> Option<f64> {
+        (self.dies > 0).then(|| count as f64 / self.dies as f64)
+    }
+}
+
+/// One die's unit of work: its (variation, map) seed pair for the L1 plus the
+/// pair for the L2 when the L2 floor is on.
+type DieJob = ((u64, u64), Option<(u64, u64)>);
+
+/// One die's fault maps at one voltage: the L1 map, plus the L2 map when the
+/// L2 floor is on.
+type DieMaps = (FaultMap, Option<FaultMap>);
+
+/// The jobs of dies `[start, start + count)`: each die's L1 seed pair, plus
+/// its L2 seed pair when [`YieldParams::include_l2`] is set.
+fn die_jobs(params: &YieldParams, start: usize, count: usize) -> Vec<DieJob> {
+    let l2_seeds: Vec<Option<(u64, u64)>> = if params.include_l2 {
+        params
+            .l2_die_seeds_range(start, count)
+            .into_iter()
+            .map(Some)
+            .collect()
+    } else {
+        vec![None; count]
+    };
+    params
+        .die_seeds_range(start, count)
+        .into_iter()
+        .zip(l2_seeds)
+        .collect()
+}
+
+/// Samples one die's variation (on the L1, and on the L2 when the job carries
+/// L2 seeds) and returns the die's fault maps as a function of the supply
+/// voltage. Each array's map seed is fixed per die, so the maps are nested
+/// across voltages.
+fn die_maps(
+    params: &YieldParams,
+    ((die_seed, map_seed), l2_seeds): DieJob,
+) -> impl Fn(f64) -> DieMaps {
+    let die = DieVariation::sample(&YieldStudy::geometry(), &params.variation, die_seed);
+    let l2_die = l2_seeds.map(|(l2_die_seed, l2_map_seed)| {
+        (
+            DieVariation::sample(&YieldStudy::l2_geometry(), &params.variation, l2_die_seed),
+            l2_map_seed,
+        )
+    });
+    move |v| {
+        (
+            FaultMap::generate_at_voltage(&die, v, map_seed),
+            l2_die
+                .as_ref()
+                .map(|(d, seed)| FaultMap::generate_at_voltage(d, v, *seed)),
+        )
+    }
+}
+
+/// The pass rule: `scheme` holds the capacity floor on the die's L1 map, and
+/// on its L2 map when one was sampled.
+fn operational_with(
+    params: &YieldParams,
+    scheme: &dyn RepairScheme,
+    (map, l2_map): &DieMaps,
+) -> bool {
+    scheme.meets_capacity_floor(map, params.min_capacity)
+        && l2_map
+            .as_ref()
+            .is_none_or(|m| scheme.meets_capacity_floor(m, params.min_capacity))
 }
 
 /// Reduces one shard of consecutive dies to its histogram aggregate.
@@ -300,7 +413,7 @@ fn compute_shard(
     let (start, count) = params.shard_bounds(shard_index);
     let mut hist = vec![vec![0u64; grid.len()]; schemes.len()];
     let mut dead = vec![0u64; schemes.len()];
-    for job in params.yields.die_jobs(start, count) {
+    for job in die_jobs(&params.yields, start, count) {
         let prefixes = die_prefix_lengths(&params.yields, grid, schemes, job);
         for (i, len) in prefixes.into_iter().enumerate() {
             match len.checked_sub(1) {
@@ -320,20 +433,18 @@ fn compute_shard(
 
 /// Per scheme, the length of the die's operational true-prefix over the
 /// descending grid (0 = dead; `len - 1` indexes the minimum operational
-/// voltage). It probes the same fault maps ([`YieldParams::die_maps`]) with
-/// the same pass rule ([`YieldParams::operational_with`]) as
-/// `YieldStudy::run_die`'s linear scan, but by binary search: fault maps are
-/// nested across voltages and no scheme gains capacity from extra faults, so
-/// the flags are a true-prefix. Each probed grid index generates its fault
-/// map(s) once, memoized across all schemes of the die, for ~log2(steps) map
-/// generations per die instead of `steps`.
+/// voltage), by binary search: fault maps are nested across voltages and no
+/// scheme gains capacity from extra faults, so the flags are a true-prefix.
+/// Each probed grid index generates its fault map(s) once, memoized across
+/// all schemes of the die, for ~log2(steps) map generations per die instead
+/// of `steps`.
 fn die_prefix_lengths(
     params: &YieldParams,
     grid: &[f64],
     schemes: &[&'static dyn RepairScheme],
     job: DieJob,
 ) -> Vec<usize> {
-    let maps_at = params.die_maps(job);
+    let maps_at = die_maps(params, job);
     let mut maps: Vec<Option<DieMaps>> = (0..grid.len()).map(|_| None).collect();
     schemes
         .iter()
@@ -342,7 +453,7 @@ fn die_prefix_lengths(
             while lo < hi {
                 let mid = lo + (hi - lo) / 2;
                 let probe = maps[mid].get_or_insert_with(|| maps_at(grid[mid]));
-                if params.operational_with(scheme, probe) {
+                if operational_with(params, scheme, probe) {
                     lo = mid + 1;
                 } else {
                     hi = mid;
@@ -368,6 +479,52 @@ mod tests {
         }
     }
 
+    /// Per die (population order), per scheme: the operational prefix length
+    /// found by probing every grid voltage with the same maps and pass rule,
+    /// on the calling thread. It pins the binary search alone; the workspace
+    /// test `tests/tests/yield_oracle.rs` rebuilds the whole campaign from
+    /// public calls.
+    fn scanned_prefix_lengths(params: &YieldParams) -> Vec<Vec<usize>> {
+        let grid = params.voltage_grid();
+        die_jobs(params, 0, params.dies)
+            .into_iter()
+            .map(|job| {
+                let maps_at = die_maps(params, job);
+                let maps: Vec<DieMaps> = grid.iter().map(|&v| maps_at(v)).collect();
+                registry()
+                    .iter()
+                    .map(|&scheme| {
+                        maps.iter()
+                            .take_while(|m| operational_with(params, scheme, m))
+                            .count()
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The campaign aggregated from [`scanned_prefix_lengths`].
+    fn scanned(params: &FleetParams) -> FleetStudy {
+        let grid = params.yields.voltage_grid();
+        let mut hist = vec![vec![0u64; grid.len()]; registry().len()];
+        let mut dead = vec![0u64; registry().len()];
+        for die in scanned_prefix_lengths(&params.yields) {
+            for (i, len) in die.into_iter().enumerate() {
+                match len.checked_sub(1) {
+                    Some(k) => hist[i][k] += 1,
+                    None => dead[i] += 1,
+                }
+            }
+        }
+        FleetStudy {
+            params: params.clone(),
+            grid,
+            dies: params.yields.dies as u64,
+            hist,
+            dead,
+        }
+    }
+
     #[test]
     fn shard_bounds_cover_the_population_exactly_once() {
         let params = tiny();
@@ -384,39 +541,46 @@ mod tests {
 
     #[test]
     fn fleet_histogram_matches_the_materializing_study() {
-        // The tentpole invariant: binary-searched, sharded, streaming
-        // aggregation reproduces the per-die linear scan exactly.
+        // Binary-searched, sharded, streaming aggregation reproduces the
+        // scan, which materializes every die's maps at every grid voltage.
         let params = tiny();
         let fleet = FleetStudy::run_parallel(&params);
-        let study = YieldStudy::run_parallel(&params.yields);
-        let (hist, dead) = study.min_voltage_histogram();
-        assert_eq!(fleet.hist, hist);
-        assert_eq!(fleet.dead, dead);
+        let scan = scanned(&params);
+        assert_eq!(fleet.hist, scan.hist);
+        assert_eq!(fleet.dead, scan.dead);
         assert_eq!(fleet.dies, params.yields.dies as u64);
     }
 
     #[test]
     fn fleet_reports_are_byte_identical_to_the_study_reports() {
+        // Every yield-curve cell is the fraction of scanned dies operational
+        // at that voltage, which the suffix sums must reproduce.
         let params = tiny();
         let fleet = FleetStudy::run_parallel(&params);
-        let study = YieldStudy::run_parallel(&params.yields);
-        assert_eq!(fleet.yield_curve().to_csv(), study.yield_curve().to_csv());
+        let dies = scanned_prefix_lengths(&params.yields);
+        for (k, (_, cells)) in fleet.yield_curve().rows.iter().enumerate() {
+            for (i, &cell) in cells.iter().enumerate() {
+                let ok = dies.iter().filter(|d| d[i] > k).count();
+                assert_eq!(
+                    cell,
+                    Some(ok as f64 / dies.len() as f64),
+                    "scheme {i} at {k}"
+                );
+            }
+        }
+        let scan = scanned(&params);
+        assert_eq!(fleet.yield_curve().to_csv(), scan.yield_curve().to_csv());
         assert_eq!(
             fleet.vccmin_summary().to_csv(),
-            study.vccmin_summary().to_csv()
+            scan.vccmin_summary().to_csv()
         );
     }
 
     #[test]
     fn parallel_is_bit_identical_to_serial() {
-        // The checkpointed executor with `parallel = false` maps the same
-        // shard jobs on the calling thread.
+        // The scan probes every die in order on the calling thread.
         let params = tiny();
-        let dir = std::env::temp_dir().join(format!("vccmin-fleet-serial-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let serial = FleetStudy::run_checkpointed(&params, &dir, false).unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
-        assert_eq!(serial, FleetStudy::run_parallel(&params));
+        assert_eq!(FleetStudy::run_parallel(&params), scanned(&params));
     }
 
     #[test]
@@ -438,27 +602,31 @@ mod tests {
     fn l2_floor_flows_through_the_fleet_path() {
         let mut params = tiny();
         params.yields.include_l2 = true;
-        let fleet = FleetStudy::run_parallel(&params);
-        let study = YieldStudy::run_parallel(&params.yields);
-        let (hist, dead) = study.min_voltage_histogram();
-        assert_eq!(fleet.hist, hist);
-        assert_eq!(fleet.dead, dead);
+        assert_eq!(FleetStudy::run_parallel(&params), scanned(&params));
+        // The criterion is a conjunction: per die and scheme, the L2 floor
+        // can only shorten the operational prefix.
+        let l1_only = scanned_prefix_lengths(&tiny().yields);
+        let both = scanned_prefix_lengths(&params.yields);
+        for (a, b) in l1_only.iter().zip(&both) {
+            for (&l1, &l2) in a.iter().zip(b) {
+                assert!(l2 <= l1, "the L2 floor cannot revive a die");
+            }
+        }
     }
 
     #[test]
     fn sketch_reports_the_distribution_exactly() {
         let params = tiny();
         let fleet = FleetStudy::run_parallel(&params);
-        let study = YieldStudy::run_parallel(&params.yields);
+        let dies = scanned_prefix_lengths(&params.yields);
         for (i, _) in YieldStudy::scheme_labels().iter().enumerate() {
             let sketch = fleet.sketch(i);
             let alive: u64 = fleet.hist[i].iter().sum();
             assert_eq!(sketch.total(), alive);
-            // Sketch stats agree with the per-die materialized values.
-            let mut mins: Vec<f64> = study
-                .dies
+            // Sketch stats agree with the per-die scanned values.
+            let mut mins: Vec<f64> = dies
                 .iter()
-                .filter_map(|d| d.min_voltage[i])
+                .filter_map(|d| d[i].checked_sub(1).map(|k| fleet.grid[k]))
                 .collect();
             mins.sort_by(|a, b| a.partial_cmp(b).unwrap());
             assert_eq!(sketch.min(), mins.first().copied());
@@ -493,10 +661,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
 
         // A cold checkpointed run matches the plain run.
-        let cold = FleetStudy::run_checkpointed(&params, &dir, false).unwrap();
+        let cold = FleetStudy::run_checkpointed(&params, &dir).unwrap();
         let plain = FleetStudy::run_parallel(&params);
-        assert_eq!(cold.hist, plain.hist);
-        assert_eq!(cold.dead, plain.dead);
+        assert_eq!(cold, plain);
 
         // Simulate an interruption: delete two shards, corrupt one.
         let store = CheckpointStore::open(&dir, params.fingerprint()).unwrap();
@@ -510,7 +677,7 @@ mod tests {
 
         // The resumed run recomputes exactly the damaged shards and reaches
         // the same aggregate.
-        let resumed = FleetStudy::run_checkpointed(&params, &dir, true).unwrap();
+        let resumed = FleetStudy::run_checkpointed(&params, &dir).unwrap();
         assert_eq!(resumed, cold);
         assert_eq!(
             resumed.vccmin_summary().to_csv(),
@@ -521,7 +688,7 @@ mod tests {
         // silently merging foreign results.
         let mut other = params.clone();
         other.yields.master_seed ^= 0xdead;
-        let fresh = FleetStudy::run_checkpointed(&other, &dir, false).unwrap();
+        let fresh = FleetStudy::run_checkpointed(&other, &dir).unwrap();
         assert_eq!(fresh.hist, FleetStudy::run_parallel(&other).hist);
 
         let _ = std::fs::remove_dir_all(&dir);
@@ -529,16 +696,21 @@ mod tests {
 
     #[test]
     fn empty_population_is_well_defined() {
+        // No dies means no fraction of them: every yield cell and dead
+        // fraction is empty, never a silent `0.0`.
         let mut params = tiny();
         params.yields.dies = 0;
         let fleet = FleetStudy::run_parallel(&params);
         assert_eq!(fleet.dies, 0);
-        assert_eq!(fleet.dead_fraction(0), 0.0);
+        assert_eq!(fleet.dead_fraction(0), None);
         assert_eq!(fleet.sketch(0).total(), 0);
+        for (_, values) in &fleet.yield_curve().rows {
+            assert!(values.iter().all(Option::is_none));
+        }
         let summary = fleet.vccmin_summary();
         for (_, values) in &summary.rows {
             assert_eq!(values[0], None);
-            assert_eq!(values[3], Some(0.0));
+            assert_eq!(values[3], None);
         }
     }
 }

@@ -24,14 +24,13 @@
 //!   policies (static schedule, fixed interval, phase-reactive), transition
 //!   costs (pipeline drain + repair-scheme reconfiguration) and the governed
 //!   segment executor with energy/EDP accounting;
-//! * [`yield_study`] — the die-population yield campaign: process-variation
-//!   dies sampled from the `vccmin-fault` variation model, each die's minimum
-//!   operational voltage computed per repair scheme, reported as Vcc-min
-//!   distributions and yield-vs-voltage curves;
-//! * [`fleet`] — the fleet-scale streaming executor for the same campaign:
-//!   sharded work units, binary-searched per-die Vcc-min probing, constant
-//!   memory histogram aggregation and checkpoint/resume, byte-identical to
-//!   [`yield_study`] at any scale;
+//! * [`yield_study`] — the die-population yield campaign's parameters:
+//!   process-variation dies sampled from the `vccmin-fault` variation model,
+//!   the voltage grid, the capacity floor and the cache arrays judged;
+//! * [`fleet`] — the campaign's one executor: sharded work units,
+//!   binary-searched per-die minimum operational voltage per repair scheme,
+//!   constant-memory histogram aggregation and checkpoint/resume, reported as
+//!   Vcc-min distributions and yield-vs-voltage curves at any scale;
 //! * [`checkpoint`] — the compact binary shard-result store (`VFS1` records,
 //!   atomic writes, checksum + parameter-fingerprint validation) behind the
 //!   fleet executor's resumability;
@@ -97,7 +96,7 @@ pub use simulation::{
     SimulationParams, GOVERNOR_POLICY_LABELS,
 };
 pub use workload::{Workload, WorkloadSource, RISCV_PREFIX};
-pub use yield_study::{DieResult, YieldParams, YieldStudy};
+pub use yield_study::{YieldParams, YieldStudy};
 
 /// Maps `f` over a study's job list and returns the outputs in job order: in
 /// order on the calling thread when `serial`, on the rayon pool otherwise.

@@ -18,7 +18,6 @@ pub const RISCV_PREFIX: &str = "riscv:";
 
 /// One workload a campaign can run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Workload {
     /// A synthetic SPEC CPU2000 profile driving the statistical generator.
     Synthetic(Benchmark),

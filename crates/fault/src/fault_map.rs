@@ -17,7 +17,6 @@ use crate::variation::DieVariation;
 
 /// Fault status of one cache block.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BlockFaults {
     /// Bit `w` set means word `w` of the block contains at least one faulty cell.
     faulty_words: u64,
@@ -101,7 +100,6 @@ impl BlockFaults {
 
 /// Aggregate statistics of a fault map.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultMapStats {
     /// Total number of blocks in the cache.
     pub total_blocks: u64,
@@ -115,7 +113,6 @@ pub struct FaultMapStats {
 
 /// A sampled fault map for one cache array.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultMap {
     geometry: CacheGeometry,
     pfail: f64,

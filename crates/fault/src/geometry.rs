@@ -24,7 +24,6 @@ impl std::error::Error for GeometryError {}
 ///
 /// All sizes are powers of two, matching real cache indexing hardware.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CacheGeometry {
     size_bytes: u64,
     block_bytes: u64,

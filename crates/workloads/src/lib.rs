@@ -9,12 +9,13 @@
 //! chosen so that the benchmark's *cache-capacity sensitivity* — the property the
 //! paper's figures exercise — falls in the published range for that program.
 //!
-//! The substitution is documented in `DESIGN.md`. What must hold for the
-//! reproduction to be meaningful is not instruction-level fidelity but the spread of
-//! behaviors: some benchmarks barely notice a smaller L1 (e.g. the `swim`-like
-//! streaming profiles), others are highly sensitive to L1 capacity and
-//! associativity (e.g. the `crafty`- and `vortex`-like profiles with working sets
-//! around the 32 KB L1 size).
+//! The substitution is described in the README's workloads section ("Real
+//! workloads (RISC-V kernels)"). What must hold for the reproduction to be
+//! meaningful is not instruction-level fidelity but the spread of behaviors:
+//! some benchmarks barely notice a smaller L1 (e.g. the `swim`-like streaming
+//! profiles), others are highly sensitive to L1 capacity and associativity
+//! (e.g. the `crafty`- and `vortex`-like profiles with working sets around the
+//! 32 KB L1 size).
 //!
 //! # Example
 //!

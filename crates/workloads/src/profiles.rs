@@ -5,14 +5,14 @@
 //! matter to this study: L1 data-capacity sensitivity (data working set relative to
 //! the 32 KB L1), L1 instruction-capacity sensitivity (code footprint), memory-
 //! boundedness (working sets far larger than the L2) and branch predictability.
-//! The exact numbers are synthetic; see `DESIGN.md` for the substitution rationale.
+//! The exact numbers are synthetic; the README's workloads section ("Real
+//! workloads (RISC-V kernels)") gives the substitution rationale.
 
 use crate::profile::{BenchmarkProfile, Suite};
 
 /// The 26 SPEC CPU2000 benchmarks evaluated in the paper (14 floating-point,
 /// 12 integer), in the order of the figures' x-axes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[allow(missing_docs)]
 pub enum Benchmark {
     // SPECfp 2000

@@ -1,1 +1,4 @@
-//! Library stub for the integration-test package; tests live in `tests/tests/`.
+//! Shared code of the integration-test package; the tests live in
+//! `tests/tests/`.
+
+pub mod yield_oracle;

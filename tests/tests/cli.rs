@@ -58,6 +58,36 @@ fn yield_csv_is_byte_identical_on_one_and_two_workers() {
     assert_stdout_independent_of_worker_count(&["yield", "--smoke", "--csv"]);
 }
 
+/// A checkpointed campaign prints the plain run's bytes twice: cold, when it
+/// computes and persists every shard, and resumed, when every shard is loaded
+/// from disk.
+#[test]
+fn checkpointed_yield_csv_matches_the_plain_run_cold_and_resumed() {
+    let plain = repro(&["yield", "--smoke", "--csv"], "2");
+    assert!(plain.status.success());
+    let dir = std::env::temp_dir().join(format!("vccmin-cli-checkpoint-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_arg = dir.to_str().expect("a UTF-8 temp path");
+    for run in ["cold", "resumed"] {
+        let out = repro(&["yield", "--smoke", "--csv", "--checkpoint", dir_arg], "2");
+        assert!(
+            out.status.success(),
+            "{run} run failed:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&plain.stdout),
+            "{run} checkpointed run differs from the plain run"
+        );
+        // The smoke campaign is a single shard: after the cold run it is on
+        // disk, so the resumed run computes nothing.
+        let shards = std::fs::read_dir(&dir).expect("the checkpoint directory exists").count();
+        assert_eq!(shards, 1, "{run}: the smoke campaign's one shard must be persisted");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The CLI contract for bad input: (args, exit code, stderr substring). Every
 /// row must also print nothing on stdout and must not panic.
 const REJECTED: &[(&[&str], i32, &str)] = &[
@@ -81,6 +111,8 @@ const REJECTED: &[(&[&str], i32, &str)] = &[
     (&["schemes", "--smoke", "--pfail", "-1"], 1, "--pfail must be a probability"),
     (&["schemes", "--smoke", "--pfail", "2"], 1, "--pfail must be a probability"),
     (&["schemes", "--smoke", "--pfail", "inf"], 1, "--pfail must be a probability"),
+    // A checkpoint path that is a regular file cannot hold shard records.
+    (&["yield", "--smoke", "--checkpoint", "Cargo.toml"], 1, "checkpoint directory"),
 ];
 
 #[test]

@@ -6,14 +6,16 @@
 //! stays test-suite friendly; the fan-out shape (benchmark × configuration ×
 //! fault-map pair) is exactly the `quick()` one. The independent oracle that
 //! rebuilds the results from the layers' public calls lives in
-//! `campaign_oracle.rs`.
+//! `campaign_oracle.rs`. The yield campaign's executor is compared with its
+//! linear-scan oracle, which runs on the calling thread.
 
 use vccmin_core::experiments::fleet::{FleetParams, FleetStudy};
 use vccmin_core::experiments::simulation::{
     FaultMapPool, GovernorStudy, HighVoltageStudy, LowVoltageStudy, SchemeMatrixStudy,
     SimulationParams,
 };
-use vccmin_core::experiments::yield_study::{YieldParams, YieldStudy};
+use vccmin_core::experiments::yield_study::YieldParams;
+use vccmin_tests::yield_oracle;
 
 // On single-CPU machines the pool degenerates to one worker; CI exports
 // RAYON_NUM_THREADS=4 (read at pool setup by both the vendored shim and the
@@ -96,19 +98,18 @@ fn parallel_governor_study_is_bit_identical_to_serial_at_quick_scale() {
 
 #[test]
 fn parallel_yield_study_is_bit_identical_to_serial_at_quick_scale() {
-    // The linear-scan yield study fans out over dies on the pool; the fleet's
-    // checkpointed executor with `parallel = false` binary-searches the same
-    // population on the calling thread. quick() scale is cheap enough to run
-    // in full (200 dies x 11 grid voltages x 5 schemes).
-    let params = YieldParams::quick();
-    let parallel = YieldStudy::run_parallel(&params);
-    let fleet = FleetParams::new(params);
-    let dir = std::env::temp_dir().join(format!("vccmin-yield-one-worker-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let serial = FleetStudy::run_checkpointed(&fleet, &dir, false).unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
+    // The fleet executor binary-searches 25 shards of 8 dies on the pool; the
+    // oracle scans every grid voltage of every die in order on the calling
+    // thread. quick() scale is cheap enough to run in full (200 dies x 11
+    // grid voltages x 5 schemes).
+    let params = FleetParams {
+        shard_dies: 8,
+        ..FleetParams::new(YieldParams::quick())
+    };
+    let parallel = FleetStudy::run_parallel(&params);
+    let serial = yield_oracle::study(&params);
     // The same per-scheme Vcc-min histogram and dead counts…
-    assert_eq!((serial.hist.clone(), serial.dead.clone()), parallel.min_voltage_histogram());
+    assert_eq!(serial, parallel);
     // …and byte-identical rendered tables.
     for (s, p) in [
         (serial.yield_curve(), parallel.yield_curve()),

@@ -1,8 +1,9 @@
 //! Workspace-level tests of the process-variation & yield subsystem:
 //!
-//! * the quick()-scale `YieldStudy` figures are pinned, byte for byte, to
-//!   `tests/golden/yield.csv` (yield-vs-voltage curves followed by the per
-//!   scheme Vcc-min summary, exactly what `vccmin-repro yield --csv` emits);
+//! * the quick()-scale yield figures of the campaign's executor,
+//!   `FleetStudy`, are pinned, byte for byte, to `tests/golden/yield.csv`
+//!   (yield-vs-voltage curves followed by the per scheme Vcc-min summary,
+//!   exactly what `vccmin-repro yield --csv` emits);
 //! * in the i.i.d. limit (zero systematic variance) the Monte-Carlo yield
 //!   cross-validates against the closed forms of
 //!   `vccmin_analysis::yield_model` (binomial capacity tail for
@@ -20,6 +21,7 @@
 
 use vccmin_core::analysis::word_disable::WordDisableParams;
 use vccmin_core::analysis::yield_model;
+use vccmin_core::experiments::fleet::{FleetParams, FleetStudy};
 use vccmin_core::experiments::yield_study::{YieldParams, YieldStudy};
 use vccmin_core::{CacheGeometry, DieVariation, FaultMap, PfailVoltageModel, VariationModel};
 
@@ -27,7 +29,12 @@ const GOLDEN: &str = include_str!("../golden/yield.csv");
 
 #[test]
 fn quick_scale_yield_study_matches_its_snapshot() {
-    let study = YieldStudy::run_parallel(&YieldParams::quick());
+    // Small shards spread the population over the pool; `fleet.rs` pins the
+    // CLI's default single-shard campaign to the same snapshot.
+    let study = FleetStudy::run_parallel(&FleetParams {
+        shard_dies: 16,
+        ..FleetParams::new(YieldParams::quick())
+    });
     let actual = format!(
         "{}{}",
         study.yield_curve().to_csv(),
@@ -55,7 +62,7 @@ fn golden_yield_snapshot_has_the_expected_shape() {
 }
 
 /// Monte-Carlo yield of one scheme at one voltage over an i.i.d. population.
-fn monte_carlo_yield(study: &YieldStudy, scheme_label: &str, voltage: f64) -> f64 {
+fn monte_carlo_yield(study: &FleetStudy, scheme_label: &str, voltage: f64) -> f64 {
     let labels = YieldStudy::scheme_labels();
     let scheme = labels
         .iter()
@@ -66,7 +73,7 @@ fn monte_carlo_yield(study: &YieldStudy, scheme_label: &str, voltage: f64) -> f6
         .iter()
         .position(|&v| (v - voltage).abs() < 1e-9)
         .expect("voltage on the grid");
-    study.yield_at(scheme, grid_index)
+    study.yield_curve().rows[grid_index].1[scheme].expect("a populated campaign has every cell")
 }
 
 #[test]
@@ -77,7 +84,7 @@ fn iid_monte_carlo_yield_matches_the_closed_forms() {
         variation: VariationModel::iid(bridge),
         ..YieldParams::quick()
     };
-    let study = YieldStudy::run_parallel(&params);
+    let study = FleetStudy::run_parallel(&FleetParams::new(params.clone()));
     let geom = CacheGeometry::ispass2010_l1().to_array_geometry();
     let wd_params = WordDisableParams::ispass2010();
 
@@ -175,7 +182,7 @@ fn systematic_variation_widens_the_vccmin_distribution() {
         ..quick.clone()
     };
     let spread = |params: &YieldParams| {
-        let summary = YieldStudy::run_parallel(params).vccmin_summary();
+        let summary = FleetStudy::run_parallel(&FleetParams::new(params.clone())).vccmin_summary();
         summary
             .rows
             .iter()
