@@ -81,13 +81,31 @@ impl CpuConfig {
     /// Number of functional units able to execute the operation class.
     #[must_use]
     pub fn units_for(&self, op: OpClass) -> u32 {
-        match op {
-            OpClass::IntAlu | OpClass::Branch => self.int_alus,
-            OpClass::IntMul => self.int_muls,
-            OpClass::FpAlu => self.fp_alus,
-            OpClass::FpMul => self.fp_muls,
-            OpClass::Load | OpClass::Store => self.mem_ports,
-        }
+        let units: [u32; UNIT_CLASSES] = [
+            self.int_alus,
+            self.int_muls,
+            self.fp_alus,
+            self.fp_muls,
+            self.mem_ports,
+        ];
+        units[unit_class(op)]
+    }
+}
+
+/// Number of functional-unit classes; [`unit_class`] maps into `0..UNIT_CLASSES`.
+pub(crate) const UNIT_CLASSES: usize = 5;
+
+/// The functional-unit class that executes an operation: integer ALUs (which
+/// also resolve branches), integer multipliers, FP ALUs, FP multipliers, or
+/// data-cache ports (loads and stores).
+#[must_use]
+pub(crate) const fn unit_class(op: OpClass) -> usize {
+    match op {
+        OpClass::IntAlu | OpClass::Branch => 0,
+        OpClass::IntMul => 1,
+        OpClass::FpAlu => 2,
+        OpClass::FpMul => 3,
+        OpClass::Load | OpClass::Store => 4,
     }
 }
 

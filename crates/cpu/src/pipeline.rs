@@ -16,19 +16,31 @@
 //! # Host cost
 //!
 //! The host work per simulated cycle scales with what the cycle does, not with
-//! the size of the reorder buffer:
+//! the size of the reorder buffer or with how many entries wait for operands:
 //!
-//! - **Sequence-indexed ROB.** Fetch numbers instructions contiguously and the ROB
-//!   holds a contiguous run of them, oldest first, so the entry of sequence `s` is
-//!   `rob[s - oldest_inflight_seq]`. An operand is ready if its producer has
-//!   committed (`s < oldest_inflight_seq`) or its entry has completed — one
-//!   lookup. Each entry records its destination register, so commit clears only
-//!   that rename slot.
-//! - **Issue and completion lists.** `waiting` holds the sequences dispatched but
-//!   not issued, `in_flight` those issued but not completed, both oldest first.
-//!   Issue walks `waiting` oldest first and compacts it in place. Completion runs
-//!   only once the cycle reaches `next_complete`, the earliest completion cycle in
-//!   `in_flight`, and walks `in_flight` only.
+//! - **Slot ring.** Fetch numbers instructions contiguously and the ROB is a fixed
+//!   ring of `rob_entries.next_power_of_two()` slots, so sequence `s` lives in
+//!   slot `s & mask` from dispatch to commit and never moves. Occupancy is still
+//!   capped at `rob_entries`. Commit reads the head slot in place; each entry
+//!   records its destination register, so commit clears only that rename slot.
+//! - **Consumer lists (wakeup).** Each entry counts its `pending` operands and
+//!   heads an intrusive list of the entries that wait on it: `first_consumer`,
+//!   then one `next_link` per source of each consumer, a link being
+//!   `slot << 1 | src`. Dispatch links a source onto its producer's list when the
+//!   producer is in flight and not yet completed. Completion walks the completing
+//!   entry's list once and decrements each consumer's count. Nothing is polled
+//!   and nothing is allocated per cycle.
+//! - **Ready bitset (select).** An entry whose count reaches zero sets its slot's
+//!   bit in `ready`, one `u64` per 64 slots. Issue walks the set bits oldest
+//!   first — from the head slot to the end of the ring, then from slot 0 up to
+//!   the head — with `trailing_zeros`, skips an entry whose functional-unit class
+//!   is full and stops at `issue_width`: the global age order and per-class
+//!   limits of a scan over every waiting entry, at the cost of the ready ones.
+//! - **Completion list.** `in_flight` holds the slots issued but not completed,
+//!   in no particular order: completions within a cycle commute, since issue runs
+//!   after all of them. Completion runs only once the cycle reaches
+//!   `next_complete`, the earliest completion cycle in `in_flight`, and walks
+//!   `in_flight` only.
 //! - **Idle-cycle skipping.** A cycle that commits, completes, issues, dispatches
 //!   and fetches nothing leaves the machine unchanged, so the cycles after it stay
 //!   idle until a time threshold passes: `next_complete`, the fetch-queue head's
@@ -41,7 +53,7 @@ use std::collections::VecDeque;
 use vccmin_cache::CacheHierarchy;
 
 use crate::branch::{BranchPredictor, FrontEndPredictor};
-use crate::config::CpuConfig;
+use crate::config::{unit_class, CpuConfig, UNIT_CLASSES};
 use crate::instruction::{OpClass, Reg, TraceInstruction, NUM_REGS};
 use crate::result::SimResult;
 
@@ -73,6 +85,9 @@ enum EntryState {
     Completed,
 }
 
+/// The end of a consumer list.
+const NO_LINK: usize = usize::MAX;
+
 #[derive(Debug, Clone)]
 struct RobEntry {
     seq: u64,
@@ -80,9 +95,14 @@ struct RobEntry {
     dest: Option<Reg>,
     mem_addr: Option<u64>,
     mispredicted_branch: bool,
-    deps: [Option<u64>; 2],
     state: EntryState,
     complete_cycle: u64,
+    /// Source operands whose producers have not completed yet.
+    pending: u8,
+    /// The first consumer waiting on this entry, as `slot << 1 | src`.
+    first_consumer: usize,
+    /// For each source, the next consumer on its producer's list.
+    next_link: [usize; 2],
 }
 
 #[derive(Debug, Clone)]
@@ -184,16 +204,22 @@ impl Pipeline {
         let mut loads: u64 = 0;
         let mut stores: u64 = 0;
 
-        // `rob[i]` holds sequence `oldest_inflight_seq + i`.
-        let mut rob: VecDeque<RobEntry> = VecDeque::with_capacity(cfg.rob_entries);
+        // Sequence `s` occupies slot `s & mask` of the ring; the occupied slots
+        // hold sequences `oldest_inflight_seq..rob_tail`. The first lap of
+        // dispatches grows the ring to its full size.
+        let slots = cfg.rob_entries.next_power_of_two();
+        let mask = (slots - 1) as u64;
+        let mut rob: Vec<RobEntry> = Vec::with_capacity(slots);
+        let mut rob_tail: u64 = 0;
         let mut fetch_queue: VecDeque<FetchedInstr> = VecDeque::new();
         let mut pending_fetch: Option<TraceInstruction> = None;
         let mut trace_done = false;
 
-        // Sequences awaiting issue and awaiting completion, oldest first, and the
+        // Slots whose operands are all available and that have not issued, one
+        // bit each; slots issued but not completed, in any order; and the
         // earliest completion cycle among the latter (`u64::MAX` when none).
-        let mut waiting: Vec<u64> = Vec::with_capacity(cfg.int_iq_entries + cfg.fp_iq_entries);
-        let mut in_flight: Vec<u64> = Vec::with_capacity(cfg.rob_entries);
+        let mut ready: Vec<u64> = vec![0; slots.div_ceil(64)];
+        let mut in_flight: Vec<usize> = Vec::with_capacity(slots);
         let mut next_complete = u64::MAX;
 
         // Rename table: architectural register -> seq of the in-flight producer.
@@ -233,12 +259,11 @@ impl Pipeline {
             // ------------------------------------------------------------------
             let mut commits = 0;
             store_batch.clear();
-            while commits < cfg.commit_width {
-                match rob.front() {
-                    Some(head) if head.state == EntryState::Completed => {}
-                    _ => break,
+            while commits < cfg.commit_width && oldest_inflight_seq < rob_tail {
+                let head = &rob[(oldest_inflight_seq & mask) as usize];
+                if head.state != EntryState::Completed {
+                    break;
                 }
-                let Some(head) = rob.pop_front() else { break };
                 debug_assert_eq!(head.seq, oldest_inflight_seq, "the ROB head is the oldest");
                 if head.op.is_mem() {
                     lsq -= 1;
@@ -276,17 +301,31 @@ impl Pipeline {
             let completing = cycle >= next_complete;
             if completing {
                 next_complete = u64::MAX;
-                in_flight.retain(|&seq| {
-                    let entry = &mut rob[(seq - oldest_inflight_seq) as usize];
+                in_flight.retain(|&slot| {
+                    let entry = &mut rob[slot];
                     if entry.complete_cycle > cycle {
                         next_complete = next_complete.min(entry.complete_cycle);
                         return true;
                     }
                     entry.state = EntryState::Completed;
-                    if entry.mispredicted_branch && waiting_branch == Some(seq) {
+                    if entry.mispredicted_branch && waiting_branch == Some(entry.seq) {
                         // The branch resolved: the front end may restart next cycle.
                         waiting_branch = None;
                         fetch_stall_until = fetch_stall_until.max(cycle + 1);
+                    }
+                    // Wake up every consumer; the last operand makes it ready.
+                    let mut link = std::mem::replace(&mut entry.first_consumer, NO_LINK);
+                    while link != NO_LINK {
+                        let consumer_slot = link >> 1;
+                        let consumer = &mut rob[consumer_slot];
+                        debug_assert!(
+                            consumer.state == EntryState::Waiting && consumer.pending > 0
+                        );
+                        consumer.pending -= 1;
+                        if consumer.pending == 0 {
+                            ready[consumer_slot / 64] |= 1 << (consumer_slot % 64);
+                        }
+                        link = consumer.next_link[link & 1];
                     }
                     false
                 });
@@ -296,63 +335,58 @@ impl Pipeline {
             // 3. Issue: select ready instructions, oldest first.
             // ------------------------------------------------------------------
             let mut issued_this_cycle = 0u32;
-            let mut int_alu_used = 0u32;
-            let mut int_mul_used = 0u32;
-            let mut fp_alu_used = 0u32;
-            let mut fp_mul_used = 0u32;
-            let mut mem_ports_used = 0u32;
-            waiting.retain(|&seq| {
-                if issued_this_cycle >= cfg.issue_width {
-                    return true;
-                }
-                let oldest = oldest_inflight_seq;
-                let idx = (seq - oldest) as usize;
-                // A dependence is satisfied once its producer has committed or
-                // completed.
-                let deps_ready = rob[idx].deps.iter().flatten().all(|&dep| {
-                    dep < oldest || rob[(dep - oldest) as usize].state == EntryState::Completed
-                });
-                if !deps_ready {
-                    return true;
-                }
-                let entry = &mut rob[idx];
-                // Functional-unit availability.
-                let (used, limit): (&mut u32, u32) = match entry.op {
-                    OpClass::IntAlu | OpClass::Branch => (&mut int_alu_used, cfg.int_alus),
-                    OpClass::IntMul => (&mut int_mul_used, cfg.int_muls),
-                    OpClass::FpAlu => (&mut fp_alu_used, cfg.fp_alus),
-                    OpClass::FpMul => (&mut fp_mul_used, cfg.fp_muls),
-                    OpClass::Load | OpClass::Store => (&mut mem_ports_used, cfg.mem_ports),
+            let mut units_used = [0u32; UNIT_CLASSES];
+            // Word `head_word` first from the head slot up, the other words in
+            // ring order, then `head_word` again below the head slot.
+            let head = (oldest_inflight_seq & mask) as usize;
+            let head_word = head / 64;
+            let above_head = u64::MAX << (head % 64);
+            'select: for i in 0..=ready.len() {
+                let word = (head_word + i) % ready.len();
+                let mut bits = match i {
+                    0 => ready[word] & above_head,
+                    _ if i == ready.len() => ready[word] & !above_head,
+                    _ => ready[word],
                 };
-                if *used >= limit {
-                    return true;
-                }
-                *used += 1;
-                issued_this_cycle += 1;
-
-                // Execution latency.
-                let latency = match entry.op {
-                    OpClass::Load => {
-                        // simlint::allow(panic-path, "dispatch stores an address for every memory op before it reaches issue")
-                        let addr = entry.mem_addr.expect("loads carry an address");
-                        let access = self.hierarchy.access_data(addr, false);
-                        access.latency
+                while bits != 0 {
+                    let slot = word * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let entry = &mut rob[slot];
+                    debug_assert!(entry.state == EntryState::Waiting && entry.pending == 0);
+                    // Functional-unit availability.
+                    let used = &mut units_used[unit_class(entry.op)];
+                    if *used >= cfg.units_for(entry.op) {
+                        continue;
                     }
-                    other => cfg.exec_latency(other),
-                };
-                entry.state = EntryState::Issued;
-                entry.complete_cycle = cycle + u64::from(latency.max(1));
-                next_complete = next_complete.min(entry.complete_cycle);
-                let at = in_flight.partition_point(|&s| s < seq);
-                in_flight.insert(at, seq);
-                // Leaving the issue queue frees its entry.
-                if entry.op.is_fp() {
-                    fp_iq -= 1;
-                } else {
-                    int_iq -= 1;
+                    *used += 1;
+                    issued_this_cycle += 1;
+                    ready[word] &= !(1 << (slot % 64));
+
+                    // Execution latency.
+                    let latency = match entry.op {
+                        OpClass::Load => {
+                            // simlint::allow(panic-path, "dispatch stores an address for every memory op before it reaches issue")
+                            let addr = entry.mem_addr.expect("loads carry an address");
+                            let access = self.hierarchy.access_data(addr, false);
+                            access.latency
+                        }
+                        other => cfg.exec_latency(other),
+                    };
+                    entry.state = EntryState::Issued;
+                    entry.complete_cycle = cycle + u64::from(latency.max(1));
+                    next_complete = next_complete.min(entry.complete_cycle);
+                    in_flight.push(slot);
+                    // Leaving the issue queue frees its entry.
+                    if entry.op.is_fp() {
+                        fp_iq -= 1;
+                    } else {
+                        int_iq -= 1;
+                    }
+                    if issued_this_cycle >= cfg.issue_width {
+                        break 'select;
+                    }
                 }
-                false
-            });
+            }
 
             // ------------------------------------------------------------------
             // 4. Dispatch: move fetched instructions into the ROB / issue queues.
@@ -360,7 +394,9 @@ impl Pipeline {
             let mut dispatched = 0;
             while dispatched < cfg.decode_width {
                 let Some(front) = fetch_queue.front() else { break };
-                if front.ready_at > cycle || rob.len() >= cfg.rob_entries {
+                if front.ready_at > cycle
+                    || (rob_tail - oldest_inflight_seq) as usize >= cfg.rob_entries
+                {
                     break;
                 }
                 let needs_fp = front.instr.op.is_fp();
@@ -375,14 +411,46 @@ impl Pipeline {
                 }
                 let Some(fetched_instr) = fetch_queue.pop_front() else { break };
                 let instr = fetched_instr.instr;
-                let mut deps = [None, None];
-                for (slot, src) in instr.srcs.iter().enumerate() {
-                    if let Some(reg) = src {
-                        deps[slot] = reg_producer[*reg as usize];
+                let seq = fetched_instr.seq;
+                debug_assert_eq!(seq, rob_tail, "dispatch fills the ring in sequence order");
+                let slot = (seq & mask) as usize;
+                let mut entry = RobEntry {
+                    seq,
+                    op: instr.op,
+                    dest: instr.dest,
+                    mem_addr: instr.mem_addr,
+                    mispredicted_branch: fetched_instr.mispredicted,
+                    state: EntryState::Waiting,
+                    complete_cycle: u64::MAX,
+                    pending: 0,
+                    first_consumer: NO_LINK,
+                    next_link: [NO_LINK; 2],
+                };
+                // A source waits on its newest producer until that completes;
+                // a committed or completed producer is already available.
+                for (src, reg) in instr.srcs.iter().enumerate() {
+                    let Some(producer_seq) = reg.and_then(|r| reg_producer[r as usize]) else {
+                        continue;
+                    };
+                    let producer = &mut rob[(producer_seq & mask) as usize];
+                    debug_assert_eq!(producer.seq, producer_seq, "a named producer is in flight");
+                    if producer.state != EntryState::Completed {
+                        entry.next_link[src] = producer.first_consumer;
+                        producer.first_consumer = slot << 1 | src;
+                        entry.pending += 1;
                     }
                 }
+                if entry.pending == 0 {
+                    ready[slot / 64] |= 1 << (slot % 64);
+                }
+                if slot < rob.len() {
+                    rob[slot] = entry;
+                } else {
+                    rob.push(entry);
+                }
+                rob_tail += 1;
                 if let Some(dest) = instr.dest {
-                    reg_producer[dest as usize] = Some(fetched_instr.seq);
+                    reg_producer[dest as usize] = Some(seq);
                 }
                 if needs_fp {
                     fp_iq += 1;
@@ -392,17 +460,6 @@ impl Pipeline {
                 if instr.is_mem() {
                     lsq += 1;
                 }
-                rob.push_back(RobEntry {
-                    seq: fetched_instr.seq,
-                    op: instr.op,
-                    dest: instr.dest,
-                    mem_addr: instr.mem_addr,
-                    mispredicted_branch: fetched_instr.mispredicted,
-                    deps,
-                    state: EntryState::Waiting,
-                    complete_cycle: u64::MAX,
-                });
-                waiting.push(fetched_instr.seq);
                 dispatched += 1;
             }
 
@@ -479,18 +536,21 @@ impl Pipeline {
                 }
             }
 
-            // Cheap structural invariants of the lists above.
-            debug_assert!(waiting.is_sorted_by(|a, b| a < b), "waiting is oldest first");
-            debug_assert!(in_flight.is_sorted_by(|a, b| a < b), "in_flight is oldest first");
-            debug_assert_eq!(int_iq + fp_iq, waiting.len(), "every waiting entry holds an IQ slot");
-            debug_assert!(in_flight
-                .iter()
-                .all(|&s| next_complete <= rob[(s - oldest_inflight_seq) as usize].complete_cycle));
+            // Cheap structural invariants of the structures above.
+            debug_assert!(
+                ready.iter().map(|w| w.count_ones() as usize).sum::<usize>() <= int_iq + fp_iq,
+                "every ready entry holds an IQ slot"
+            );
+            debug_assert!(in_flight.iter().all(|&s| next_complete <= rob[s].complete_cycle));
 
             // ------------------------------------------------------------------
             // Termination and watchdog.
             // ------------------------------------------------------------------
-            if trace_done && rob.is_empty() && fetch_queue.is_empty() && pending_fetch.is_none() {
+            if trace_done
+                && rob_tail == oldest_inflight_seq
+                && fetch_queue.is_empty()
+                && pending_fetch.is_none()
+            {
                 break;
             }
             if committed > last_committed {

@@ -482,7 +482,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "invalid benchmark profile")]
+    #[should_panic(expected = "invalid benchmark profile gzip: load fraction 2 is not in [0, 1]")]
     fn invalid_profiles_are_rejected_at_construction() {
         let mut p = Benchmark::Gzip.profile();
         p.load_fraction = 2.0;

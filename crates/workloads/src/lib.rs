@@ -56,5 +56,5 @@ pub mod profiles;
 
 pub use generator::TraceGenerator;
 pub use phase::{PhaseSchedule, PhaseSegment, WorkloadPhase};
-pub use profile::{BenchmarkProfile, Suite};
+pub use profile::{BenchmarkProfile, ProfileError, Suite};
 pub use profiles::Benchmark;

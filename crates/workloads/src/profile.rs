@@ -9,6 +9,46 @@ pub enum Suite {
     Fp,
 }
 
+/// The first constraint a [`BenchmarkProfile`] violates.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ProfileError {
+    /// A fraction or probability is not a finite value in `[0, 1]`.
+    FractionOutOfRange {
+        /// The field, without its `_fraction`/`_probability` suffix.
+        field: &'static str,
+        /// The offending value.
+        value: f64,
+    },
+    /// The instruction-mix fractions of the named profile sum to more than 1.
+    MixAboveOne {
+        /// The profile's name.
+        profile: &'static str,
+    },
+    /// The hot region is empty or larger than the data working set.
+    HotRegionOutsideWorkingSet,
+    /// The code footprint is under 256 bytes.
+    CodeFootprintTooSmall,
+}
+
+impl std::fmt::Display for ProfileError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::FractionOutOfRange { field, value } => {
+                write!(f, "{field} fraction {value} is not in [0, 1]")
+            }
+            Self::MixAboveOne { profile } => {
+                write!(f, "instruction-mix fractions of {profile} sum to more than 1")
+            }
+            Self::HotRegionOutsideWorkingSet => {
+                write!(f, "data working set must contain the hot region")
+            }
+            Self::CodeFootprintTooSmall => write!(f, "code footprint must be at least 256 bytes"),
+        }
+    }
+}
+
+impl std::error::Error for ProfileError {}
+
 /// Parameters of a synthetic benchmark trace.
 ///
 /// Fractions are of all instructions and must sum to at most 1; the remainder are
@@ -66,8 +106,8 @@ impl BenchmarkProfile {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
+    /// Returns the first violated constraint.
+    pub fn validate(&self) -> Result<(), ProfileError> {
         let fractions = [
             ("load", self.load_fraction),
             ("store", self.store_fraction),
@@ -82,20 +122,20 @@ impl BenchmarkProfile {
         ];
         for (name, f) in fractions {
             if !(0.0..=1.0).contains(&f) || !f.is_finite() {
-                return Err(format!("{name} fraction {f} is not in [0, 1]"));
+                return Err(ProfileError::FractionOutOfRange {
+                    field: name,
+                    value: f,
+                });
             }
         }
         if self.int_alu_fraction() < -1e-9 {
-            return Err(format!(
-                "instruction-mix fractions of {} sum to more than 1",
-                self.name
-            ));
+            return Err(ProfileError::MixAboveOne { profile: self.name });
         }
         if self.hot_data_bytes == 0 || self.data_working_set_bytes < self.hot_data_bytes {
-            return Err("data working set must contain the hot region".into());
+            return Err(ProfileError::HotRegionOutsideWorkingSet);
         }
         if self.code_bytes < 256 {
-            return Err("code footprint must be at least 256 bytes".into());
+            return Err(ProfileError::CodeFootprintTooSmall);
         }
         Ok(())
     }
@@ -136,33 +176,73 @@ mod tests {
     fn over_unity_mix_is_rejected() {
         let mut p = sample();
         p.load_fraction = 0.9;
-        assert!(p.validate().is_err());
+        assert_eq!(p.validate(), Err(ProfileError::MixAboveOne { profile: "sample" }));
     }
 
     #[test]
     fn invalid_probabilities_are_rejected() {
         let mut p = sample();
         p.branch_randomness = 1.5;
-        assert!(p.validate().is_err());
+        assert_eq!(
+            p.validate(),
+            Err(ProfileError::FractionOutOfRange {
+                field: "branch_randomness",
+                value: 1.5
+            })
+        );
         let mut p = sample();
         p.hot_access_probability = -0.1;
-        assert!(p.validate().is_err());
+        assert_eq!(
+            p.validate(),
+            Err(ProfileError::FractionOutOfRange {
+                field: "hot_access",
+                value: -0.1
+            })
+        );
     }
 
     #[test]
     fn working_set_must_contain_hot_region() {
         let mut p = sample();
         p.data_working_set_bytes = 1024;
-        assert!(p.validate().is_err());
+        assert_eq!(p.validate(), Err(ProfileError::HotRegionOutsideWorkingSet));
         let mut p = sample();
         p.hot_data_bytes = 0;
-        assert!(p.validate().is_err());
+        assert_eq!(p.validate(), Err(ProfileError::HotRegionOutsideWorkingSet));
     }
 
     #[test]
     fn tiny_code_footprint_is_rejected() {
         let mut p = sample();
         p.code_bytes = 64;
-        assert!(p.validate().is_err());
+        assert_eq!(p.validate(), Err(ProfileError::CodeFootprintTooSmall));
+    }
+
+    #[test]
+    fn error_messages_name_the_violated_constraint() {
+        let messages = [
+            (
+                ProfileError::FractionOutOfRange {
+                    field: "load",
+                    value: 1.5,
+                },
+                "load fraction 1.5 is not in [0, 1]",
+            ),
+            (
+                ProfileError::MixAboveOne { profile: "gzip" },
+                "instruction-mix fractions of gzip sum to more than 1",
+            ),
+            (
+                ProfileError::HotRegionOutsideWorkingSet,
+                "data working set must contain the hot region",
+            ),
+            (
+                ProfileError::CodeFootprintTooSmall,
+                "code footprint must be at least 256 bytes",
+            ),
+        ];
+        for (error, message) in messages {
+            assert_eq!(error.to_string(), message);
+        }
     }
 }

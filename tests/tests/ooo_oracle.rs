@@ -1,13 +1,16 @@
 //! Differential tests of the event-driven out-of-order cycle loop against a
 //! faithful port of the cycle-stepping loop it replaced.
 //!
-//! [`Pipeline::run`] indexes the ROB by sequence number, keeps age-ordered
-//! issue and completion lists and skips idle cycles. Every observable must be
-//! *bit-identical* to the old loop, which rebuilt a completion table every
-//! cycle, walked the whole ROB for completion and issue, swept the rename
-//! table on every commit, and stepped one cycle at a time. The reference below
-//! is that loop, line for line; each case compares the two [`SimResult`]s
-//! with `==`.
+//! [`Pipeline::run`] keeps the ROB in a ring of sequence-indexed slots, pushes
+//! operand readiness to each consumer once (per-producer consumer lists and a
+//! ready bitset walked oldest first), keeps an unordered completion list and
+//! skips idle cycles. Every observable must be *bit-identical* to the old loop,
+//! which stepped one cycle at a time, swept the rename table on every commit,
+//! and still uses the two mechanisms the new loop replaced: a ROB-wide scan for
+//! completion and issue, and a per-cycle readiness check of every waiting
+//! entry's operands against a completion table rebuilt each cycle. The
+//! reference below is that loop, line for line; each case compares the two
+//! [`SimResult`]s with `==`.
 
 use std::collections::VecDeque;
 use std::sync::OnceLock;
@@ -390,6 +393,9 @@ enum Step {
     /// An arithmetic op writing `dest` from `src` (a dependence chain when the
     /// registers repeat).
     Alu { op: OpClass, dest: u8, src: u8 },
+    /// An arithmetic op reading two registers, which may be the same one: then
+    /// one producer has the consumer on its list twice.
+    Alu2 { op: OpClass, dest: u8, srcs: [u8; 2] },
     /// A load into `dest` whose address depends on `base`.
     Load { dest: u8, base: u8, reach: Reach, slot: u16 },
     /// A store of `src`.
@@ -400,15 +406,17 @@ enum Step {
     CallReturn,
 }
 
-/// One step from five uniform draws: a kind selector, two registers, a slot
-/// and a flag. Weights (out of 14): 4 integer ALU/multiply, 2 FP, 3 loads,
-/// 2 stores, 2 conditional branches, 1 call/return pair.
+/// One step from six uniform draws: a kind selector, three registers, a slot
+/// and a flag. Weights (out of 16): 4 integer ALU/multiply, 2 FP, 2
+/// two-source ALU (integer or FP), 3 loads, 2 stores, 2 conditional branches,
+/// 1 call/return pair.
 fn step() -> impl Strategy<Value = Step> {
-    (0u8..14, 0u8..7, 0u8..7, any::<u16>(), any::<bool>()).prop_map(|(kind, a, b, slot, flag)| {
+    let draws = (0u8..16, (0u8..7, 0u8..7, 0u8..7), any::<u16>(), any::<bool>());
+    draws.prop_map(|(kind, (a, b, c), slot, flag)| {
         // Integer registers 1..8 and FP registers 40..44: few enough that
-        // dependence chains form.
-        let (int_a, int_b) = (1 + a, 1 + b);
-        let (fp_a, fp_b) = (40 + a % 4, 40 + b % 4);
+        // dependence chains form, and that two sources often coincide.
+        let (int_a, int_b, int_c) = (1 + a, 1 + b, 1 + c);
+        let (fp_a, fp_b, fp_c) = (40 + a % 4, 40 + b % 4, 40 + c % 4);
         let reach = match slot % 3 {
             0 => Reach::L1,
             1 => Reach::L2,
@@ -443,7 +451,17 @@ fn step() -> impl Strategy<Value = Step> {
                 slot,
             },
             11..=12 => Step::Branch { taken: flag },
-            _ => Step::CallReturn,
+            13 => Step::CallReturn,
+            _ if slot % 2 == 0 => Step::Alu2 {
+                op: op(true, flag),
+                dest: int_a,
+                srcs: [int_b, int_c],
+            },
+            _ => Step::Alu2 {
+                op: op(false, flag),
+                dest: fp_a,
+                srcs: [fp_b, fp_c],
+            },
         }
     })
 }
@@ -469,6 +487,11 @@ fn build_trace(steps: &[Step], code_blocks: u64) -> Vec<TraceInstruction> {
                 TraceInstruction::alu(pc, op)
                     .with_dest(dest)
                     .with_srcs(Some(src), None),
+            ),
+            Step::Alu2 { op, dest, srcs } => trace.push(
+                TraceInstruction::alu(pc, op)
+                    .with_dest(dest)
+                    .with_srcs(Some(srcs[0]), Some(srcs[1])),
             ),
             Step::Load {
                 dest,
@@ -534,6 +557,29 @@ fn narrow_core() -> CpuConfig {
         front_end_depth: 3,
         ..CpuConfig::ispass2010()
     }
+}
+
+/// A wide core whose ROB (100 entries) is not a power of two and spans two
+/// 64-slot words of the ready bitset, so the oldest-first walk starts inside a
+/// word and wraps around the ring. The issue queues and LSQ are large enough
+/// for the ROB to fill first.
+fn wide_core() -> CpuConfig {
+    CpuConfig {
+        fetch_width: 8,
+        decode_width: 8,
+        issue_width: 8,
+        commit_width: 8,
+        rob_entries: 100,
+        int_iq_entries: 100,
+        fp_iq_entries: 100,
+        lsq_entries: 100,
+        ..CpuConfig::ispass2010()
+    }
+}
+
+/// The narrow, the paper's and the wide core, equally likely.
+fn core() -> impl Strategy<Value = CpuConfig> {
+    (0usize..3).prop_map(|i| [narrow_core(), CpuConfig::ispass2010(), wide_core()][i])
 }
 
 struct FaultMaps {
@@ -619,10 +665,9 @@ proptest! {
     #[test]
     fn event_driven_loop_matches_the_cycle_stepping_reference(
         steps in prop::collection::vec(step(), 1..250),
-        narrow in any::<bool>(),
+        core in core(),
         large_code in any::<bool>(),
     ) {
-        let core = if narrow { narrow_core() } else { CpuConfig::ispass2010() };
         let trace = build_trace(&steps, if large_code { 4096 } else { 16 });
         prop_assert_eq!(first_divergence(core, &trace, &[None]), None);
     }
@@ -632,20 +677,18 @@ proptest! {
         steps in prop::collection::vec(step(), 1..250),
         first in 0u64..200,
         second in 0u64..200,
-        narrow in any::<bool>(),
+        core in core(),
     ) {
-        let core = if narrow { narrow_core() } else { CpuConfig::ispass2010() };
         let trace = build_trace(&steps, 64);
         prop_assert_eq!(first_divergence(core, &trace, &[Some(first), Some(second), None]), None);
     }
 }
 
-#[test]
-fn long_memory_bound_trace_matches_the_reference() {
-    // A pointer chase through memory interleaved with independent work: long
-    // idle stretches between completions, the shape idle-cycle skipping
-    // targets, on the paper's core.
-    let steps: Vec<Step> = (0..1_500u16)
+/// A pointer chase through memory interleaved with independent work: long
+/// idle stretches between completions, the shape idle-cycle skipping targets.
+/// Each chase step has a consumer reading its value twice.
+fn pointer_chase(len: u16) -> Vec<TraceInstruction> {
+    let steps: Vec<Step> = (0..len)
         .map(|i| match i % 5 {
             0 => Step::Load {
                 dest: 2,
@@ -664,13 +707,26 @@ fn long_memory_bound_trace_matches_the_reference() {
                 reach: Reach::L2,
                 slot: i.wrapping_mul(7),
             },
-            _ => Step::Alu {
+            _ => Step::Alu2 {
                 op: OpClass::IntAlu,
                 dest: 3,
-                src: 2,
+                srcs: [2, 2],
             },
         })
         .collect();
-    let trace = build_trace(&steps, 512);
+    build_trace(&steps, 512)
+}
+
+#[test]
+fn long_memory_bound_trace_matches_the_reference() {
+    let trace = pointer_chase(1_500);
     assert_eq!(first_divergence(CpuConfig::ispass2010(), &trace, &[Some(700), None]), None);
+}
+
+#[test]
+fn wide_core_with_a_full_rob_matches_the_reference() {
+    // The ROB fills behind every chase load, and its head walks across both
+    // words of the ready bitset.
+    let trace = pointer_chase(500);
+    assert_eq!(first_divergence(wide_core(), &trace, &[Some(230), None]), None);
 }
