@@ -655,6 +655,19 @@ impl CacheHierarchy {
     pub fn l2_hit_latency(&self) -> u32 {
         self.l2_hit_latency
     }
+
+    /// Worst-case latency in cycles of any data-side access: the L1D hit
+    /// latency and its victim-cache latency, plus the L2 hit latency and the
+    /// memory latency, each with its scheme's overhead. No
+    /// [`access_data`](Self::access_data) result exceeds it, and a miss to
+    /// memory without a victim cache takes exactly this long.
+    #[must_use]
+    pub fn max_data_latency(&self) -> u32 {
+        self.l1d.hit_latency
+            + self.l1d.victim_latency
+            + self.l2_hit_latency
+            + self.config.memory_latency
+    }
 }
 
 #[cfg(test)]
@@ -1008,6 +1021,62 @@ mod tests {
         batched.access_instr_batch(&addrs, &mut got);
         assert_eq!(got, expected);
         assert_eq!(batched.stats(), scalar.stats());
+    }
+
+    #[test]
+    fn no_data_access_exceeds_the_worst_case_latency() {
+        let l1 = CacheGeometry::ispass2010_l1();
+        let l1i_map = FaultMap::generate(&l1, 0.001, 11);
+        let l1d_map = FaultMap::generate(&l1, 0.001, 12);
+        let l2_map = FaultMap::generate(&CacheGeometry::ispass2010_l2(), 0.001, 13);
+        let maps = (Some(&l1i_map), Some(&l1d_map), Some(&l2_map));
+        // Reads and writes that hit a few L1-resident blocks, revisit a 512 KB
+        // walk that the L2 holds, and stride far through memory.
+        let stream = |i: u64| match i % 3 {
+            0 => (0x10_0000 + (i % 16) * 64, false),
+            1 => (0x200_0000 + (i % 8192) * 64, i % 4 == 1),
+            _ => (0x4000_0000 + i * 4096, i % 5 == 2),
+        };
+        let victims = [
+            None,
+            Some(VictimCacheConfig::ispass2010_10t()),
+            Some(VictimCacheConfig::ispass2010_6t()),
+        ];
+        let mut built = 0;
+        for scheme in DisablingScheme::ALL {
+            for voltage in [VoltageMode::High, VoltageMode::Low] {
+                for victim in victims {
+                    for faulty_l2 in [false, true] {
+                        let mut cfg = HierarchyConfig::ispass2010(scheme, voltage);
+                        if let Some(v) = victim {
+                            cfg = cfg.with_victim_caches(v);
+                        }
+                        if faulty_l2 {
+                            cfg = cfg.with_l2_scheme(match scheme {
+                                DisablingScheme::Baseline => DisablingScheme::BlockDisabling,
+                                other => other,
+                            });
+                        }
+                        let mut h = CacheHierarchy::with_all_fault_maps(cfg, maps.0, maps.1, maps.2)
+                            .unwrap_or_else(|e| panic!("{cfg:?} does not build: {e:?}"));
+                        built += 1;
+                        let bound = h.max_data_latency();
+                        let worst = (0..6_000)
+                            .map(|i| {
+                                let (addr, write) = stream(i);
+                                h.access_data(addr, write).latency
+                            })
+                            .max();
+                        // A miss to memory pays every term but the victim probe,
+                        // which is charged only when it hits: without a victim
+                        // cache (faulty or fault free) it reaches the bound.
+                        let probe = victim.map_or(0, |v| v.latency);
+                        assert_eq!(worst, Some(bound - probe), "{cfg:?}");
+                    }
+                }
+            }
+        }
+        assert_eq!(built, 5 * 2 * 3 * 2);
     }
 
     #[test]

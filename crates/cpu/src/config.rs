@@ -78,6 +78,16 @@ impl CpuConfig {
         }
     }
 
+    /// The longest [`exec_latency`](Self::exec_latency) of any operation class.
+    #[must_use]
+    pub(crate) fn max_exec_latency(&self) -> u32 {
+        use OpClass::{Branch, FpAlu, FpMul, IntAlu, IntMul, Load, Store};
+        [IntAlu, IntMul, FpAlu, FpMul, Load, Store, Branch]
+            .into_iter()
+            .map(|op| self.exec_latency(op))
+            .fold(0, u32::max)
+    }
+
     /// Number of functional units able to execute the operation class.
     #[must_use]
     pub fn units_for(&self, op: OpClass) -> u32 {

@@ -16,13 +16,17 @@
 //! # Host cost
 //!
 //! The host work per simulated cycle scales with what the cycle does, not with
-//! the size of the reorder buffer or with how many entries wait for operands:
+//! the size of the reorder buffer or with how many entries wait for operands or
+//! on execution:
 //!
 //! - **Slot ring.** Fetch numbers instructions contiguously and the ROB is a fixed
 //!   ring of `rob_entries.next_power_of_two()` slots, so sequence `s` lives in
 //!   slot `s & mask` from dispatch to commit and never moves. Occupancy is still
 //!   capped at `rob_entries`. Commit reads the head slot in place; each entry
 //!   records its destination register, so commit clears only that rename slot.
+//!   A ROB entry, which keeps no completion cycle, and a fetch-queue entry,
+//!   which keeps no sequence number (dispatch gives the queue's head
+//!   `rob_tail`), each fit in 64 bytes, one host cache line.
 //! - **Consumer lists (wakeup).** Each entry counts its `pending` operands and
 //!   heads an intrusive list of the entries that wait on it: `first_consumer`,
 //!   then one `next_link` per source of each consumer, a link being
@@ -36,17 +40,23 @@
 //!   the head — with `trailing_zeros`, skips an entry whose functional-unit class
 //!   is full and stops at `issue_width`: the global age order and per-class
 //!   limits of a scan over every waiting entry, at the cost of the ready ones.
-//! - **Completion list.** `in_flight` holds the slots issued but not completed,
-//!   in no particular order: completions within a cycle commute, since issue runs
-//!   after all of them. Completion runs only once the cycle reaches
-//!   `next_complete`, the earliest completion cycle in `in_flight`, and walks
-//!   `in_flight` only.
+//! - **Completion wheel.** Issue pushes a slot onto the bucket of its completion
+//!   cycle, `cycle & mask`, in a ring of `(max_latency + 1).next_power_of_two()` buckets, an intrusive
+//!   list through `next_done`. `max_latency` bounds every execution and
+//!   data-access latency ([`CacheHierarchy::max_data_latency`]), so a bucket
+//!   only ever holds one cycle's completions, and completion pops the current
+//!   cycle's bucket alone. Completions within a cycle commute, since issue runs
+//!   after all of them, so the order within a bucket does not matter. Loads
+//!   waiting hundreds of cycles on memory cost nothing until their cycle comes.
 //! - **Idle-cycle skipping.** A cycle that commits, completes, issues, dispatches
 //!   and fetches nothing leaves the machine unchanged, so the cycles after it stay
-//!   idle until a time threshold passes: `next_complete`, the fetch-queue head's
-//!   `ready_at`, or a future `fetch_stall_until`. The loop jumps to the earliest of
-//!   them. Skipped cycles count toward the cycle total and the forward-progress
-//!   watchdog, so every result equals that of stepping one cycle at a time.
+//!   idle until a time threshold passes: the next completion, the fetch-queue
+//!   head's `ready_at`, or a future `fetch_stall_until`. The next completion is
+//!   the first set bit of the wheel's occupancy bitset (one bit per bucket) in
+//!   ring order after the current cycle's bucket, found with `trailing_zeros`.
+//!   The loop jumps to the earliest threshold. Skipped cycles count toward the
+//!   cycle total and the forward-progress watchdog, so every result equals that
+//!   of stepping one cycle at a time.
 
 use std::collections::VecDeque;
 
@@ -85,7 +95,7 @@ enum EntryState {
     Completed,
 }
 
-/// The end of a consumer list.
+/// The end of a consumer list or of a completion-wheel bucket.
 const NO_LINK: usize = usize::MAX;
 
 #[derive(Debug, Clone)]
@@ -96,7 +106,8 @@ struct RobEntry {
     mem_addr: Option<u64>,
     mispredicted_branch: bool,
     state: EntryState,
-    complete_cycle: u64,
+    /// The next slot in this entry's completion-wheel bucket.
+    next_done: usize,
     /// Source operands whose producers have not completed yet.
     pending: u8,
     /// The first consumer waiting on this entry, as `slot << 1 | src`.
@@ -107,7 +118,6 @@ struct RobEntry {
 
 #[derive(Debug, Clone)]
 struct FetchedInstr {
-    seq: u64,
     instr: TraceInstruction,
     ready_at: u64,
     mispredicted: bool,
@@ -216,11 +226,22 @@ impl Pipeline {
         let mut trace_done = false;
 
         // Slots whose operands are all available and that have not issued, one
-        // bit each; slots issued but not completed, in any order; and the
-        // earliest completion cycle among the latter (`u64::MAX` when none).
+        // bit each.
         let mut ready: Vec<u64> = vec![0; slots.div_ceil(64)];
-        let mut in_flight: Vec<usize> = Vec::with_capacity(slots);
-        let mut next_complete = u64::MAX;
+
+        // Completion wheel: `wheel[b]` heads the list (through `next_done`) of the
+        // slots completing in the cycles `c` with `c & wheel_mask == b`, and bit
+        // `b` of `wheel_busy` is set iff that list is non-empty. Every latency is
+        // below the ring's length, so a bucket holds a single cycle's completions.
+        let max_latency = cfg.max_exec_latency().max(self.hierarchy.max_data_latency());
+        let wheel_len = (max_latency as usize + 1).next_power_of_two();
+        let wheel_mask = (wheel_len - 1) as u64;
+        let mut wheel: Vec<usize> = vec![NO_LINK; wheel_len];
+        let mut wheel_busy: Vec<u64> = vec![0; wheel_len.div_ceil(64)];
+        // Each issued slot's completion cycle, for a debug assertion; kept out
+        // of `RobEntry` so an entry still fits in 64 bytes.
+        #[cfg(debug_assertions)]
+        let mut complete_at: Vec<u64> = vec![0; slots];
 
         // Rename table: architectural register -> seq of the in-flight producer.
         let mut reg_producer: [Option<u64>; NUM_REGS] = [None; NUM_REGS];
@@ -229,7 +250,6 @@ impl Pipeline {
         let mut fp_iq = 0usize;
         let mut lsq = 0usize;
 
-        let mut next_seq: u64 = 0;
         let mut oldest_inflight_seq: u64 = 0; // sequences below this have committed
 
         // Front-end state.
@@ -298,15 +318,22 @@ impl Pipeline {
             // ------------------------------------------------------------------
             // 2. Completion: mark issued instructions whose execution finished.
             // ------------------------------------------------------------------
-            let completing = cycle >= next_complete;
+            let bucket = (cycle & wheel_mask) as usize;
+            let completing = wheel[bucket] != NO_LINK;
+            debug_assert_eq!(
+                completing,
+                wheel_busy[bucket / 64] & 1 << (bucket % 64) != 0,
+                "a bucket's occupancy bit is set iff the bucket is non-empty"
+            );
             if completing {
-                next_complete = u64::MAX;
-                in_flight.retain(|&slot| {
+                wheel_busy[bucket / 64] &= !(1 << (bucket % 64));
+                let mut slot = std::mem::replace(&mut wheel[bucket], NO_LINK);
+                while slot != NO_LINK {
                     let entry = &mut rob[slot];
-                    if entry.complete_cycle > cycle {
-                        next_complete = next_complete.min(entry.complete_cycle);
-                        return true;
-                    }
+                    debug_assert!(entry.state == EntryState::Issued);
+                    #[cfg(debug_assertions)]
+                    assert_eq!(complete_at[slot], cycle, "every popped entry completes this cycle");
+                    slot = entry.next_done;
                     entry.state = EntryState::Completed;
                     if entry.mispredicted_branch && waiting_branch == Some(entry.seq) {
                         // The branch resolved: the front end may restart next cycle.
@@ -327,8 +354,7 @@ impl Pipeline {
                         }
                         link = consumer.next_link[link & 1];
                     }
-                    false
-                });
+                }
             }
 
             // ------------------------------------------------------------------
@@ -336,18 +362,9 @@ impl Pipeline {
             // ------------------------------------------------------------------
             let mut issued_this_cycle = 0u32;
             let mut units_used = [0u32; UNIT_CLASSES];
-            // Word `head_word` first from the head slot up, the other words in
-            // ring order, then `head_word` again below the head slot.
             let head = (oldest_inflight_seq & mask) as usize;
-            let head_word = head / 64;
-            let above_head = u64::MAX << (head % 64);
-            'select: for i in 0..=ready.len() {
-                let word = (head_word + i) % ready.len();
-                let mut bits = match i {
-                    0 => ready[word] & above_head,
-                    _ if i == ready.len() => ready[word] & !above_head,
-                    _ => ready[word],
-                };
+            'select: for (word, lap) in ring_words(ready.len(), head) {
+                let mut bits = ready[word] & lap;
                 while bits != 0 {
                     let slot = word * 64 + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
@@ -372,10 +389,20 @@ impl Pipeline {
                         }
                         other => cfg.exec_latency(other),
                     };
+                    let latency = u64::from(latency.max(1));
+                    debug_assert!(
+                        latency < wheel_len as u64,
+                        "latency {latency} laps the {wheel_len}-bucket wheel"
+                    );
                     entry.state = EntryState::Issued;
-                    entry.complete_cycle = cycle + u64::from(latency.max(1));
-                    next_complete = next_complete.min(entry.complete_cycle);
-                    in_flight.push(slot);
+                    let done = ((cycle + latency) & wheel_mask) as usize;
+                    #[cfg(debug_assertions)]
+                    {
+                        complete_at[slot] = cycle + latency;
+                    }
+                    entry.next_done = wheel[done];
+                    wheel[done] = slot;
+                    wheel_busy[done / 64] |= 1 << (done % 64);
                     // Leaving the issue queue frees its entry.
                     if entry.op.is_fp() {
                         fp_iq -= 1;
@@ -411,8 +438,7 @@ impl Pipeline {
                 }
                 let Some(fetched_instr) = fetch_queue.pop_front() else { break };
                 let instr = fetched_instr.instr;
-                let seq = fetched_instr.seq;
-                debug_assert_eq!(seq, rob_tail, "dispatch fills the ring in sequence order");
+                let seq = rob_tail;
                 let slot = (seq & mask) as usize;
                 let mut entry = RobEntry {
                     seq,
@@ -421,7 +447,7 @@ impl Pipeline {
                     mem_addr: instr.mem_addr,
                     mispredicted_branch: fetched_instr.mispredicted,
                     state: EntryState::Waiting,
-                    complete_cycle: u64::MAX,
+                    next_done: NO_LINK,
                     pending: 0,
                     first_consumer: NO_LINK,
                     next_link: [NO_LINK; 2],
@@ -499,8 +525,7 @@ impl Pipeline {
                         }
                     }
 
-                    let seq = next_seq;
-                    next_seq += 1;
+                    let seq = fetched;
                     fetched += 1;
                     fetched_this_cycle += 1;
 
@@ -516,7 +541,6 @@ impl Pipeline {
                         }
                     }
                     fetch_queue.push_back(FetchedInstr {
-                        seq,
                         instr,
                         ready_at: cycle + u64::from(cfg.front_end_depth),
                         mispredicted,
@@ -537,11 +561,15 @@ impl Pipeline {
             }
 
             // Cheap structural invariants of the structures above.
+            debug_assert_eq!(
+                rob_tail + fetch_queue.len() as u64,
+                fetched,
+                "fetch numbers instructions contiguously and dispatch takes them in order"
+            );
             debug_assert!(
                 ready.iter().map(|w| w.count_ones() as usize).sum::<usize>() <= int_iq + fp_iq,
                 "every ready entry holds an IQ slot"
             );
-            debug_assert!(in_flight.iter().all(|&s| next_complete <= rob[s].complete_cycle));
 
             // ------------------------------------------------------------------
             // Termination and watchdog.
@@ -571,7 +599,9 @@ impl Pipeline {
                 // Nothing changed, so nothing will until the next completion, the
                 // fetch-queue head reaching dispatch, or the front-end stall
                 // ending. Jump there, but no further than the watchdog's bound.
-                let mut next = next_complete.min(last_progress_cycle + WATCHDOG_CYCLES);
+                let mut next = next_completion(&wheel_busy, wheel_mask, cycle)
+                    .unwrap_or(u64::MAX)
+                    .min(last_progress_cycle + WATCHDOG_CYCLES);
                 if let Some(front) = fetch_queue.front().filter(|f| f.ready_at > cycle) {
                     next = next.min(front.ready_at);
                 }
@@ -594,6 +624,36 @@ impl Pipeline {
             hierarchy: self.hierarchy.stats(),
         }
     }
+}
+
+/// The words of a ring bitset of `words` words in ring order from bit `start`,
+/// each with the mask of its bits in that lap: the start word from `start` up,
+/// the other words whole, then the start word again below `start`.
+fn ring_words(words: usize, start: usize) -> impl Iterator<Item = (usize, u64)> {
+    let first = start / 64;
+    let from_start = u64::MAX << (start % 64);
+    (0..=words).map(move |i| {
+        let lap = match i {
+            0 => from_start,
+            _ if i == words => !from_start,
+            _ => u64::MAX,
+        };
+        ((first + i) % words, lap)
+    })
+}
+
+/// The earliest cycle after `cycle` whose completion-wheel bucket is busy, if
+/// any. Every pending completion lies less than one lap after `cycle`, so the
+/// first busy bucket in ring order from `cycle + 1` is the next one.
+fn next_completion(busy: &[u64], wheel_mask: u64, cycle: u64) -> Option<u64> {
+    let start = (cycle + 1) & wheel_mask;
+    ring_words(busy.len(), start as usize).find_map(|(word, lap)| {
+        let bits = busy[word] & lap;
+        (bits != 0).then(|| {
+            let bucket = (word * 64 + bits.trailing_zeros() as usize) as u64;
+            cycle + 1 + (bucket.wrapping_sub(start) & wheel_mask)
+        })
+    })
 }
 
 #[cfg(test)]
@@ -807,6 +867,42 @@ mod tests {
             .collect();
         let hierarchy = CacheHierarchy::new(HierarchyConfig::ispass2010_baseline_high_voltage());
         Pipeline::new(config, hierarchy).run(&mut trace.into_iter(), None);
+    }
+
+    #[test]
+    fn rob_and_fetch_queue_entries_fit_in_a_cache_line() {
+        assert_eq!(std::mem::size_of::<RobEntry>(), 64);
+        assert!(std::mem::size_of::<FetchedInstr>() <= 64);
+    }
+
+    #[test]
+    fn dependent_misses_lap_a_small_completion_wheel() {
+        // With an 8-cycle memory every miss takes 3 + 20 + 8 = 31 cycles, one
+        // short of the 32-bucket wheel: each load of the chase completes in the
+        // bucket just behind the one it issued in, so the idle skip to it scans
+        // across the ring's wrap, and 200 of them lap the wheel ~190 times.
+        let config = HierarchyConfig {
+            memory_latency: 8,
+            ..HierarchyConfig::ispass2010_baseline_high_voltage()
+        };
+        let chase = |loads: u64| {
+            let trace: Vec<_> = (0..loads)
+                .map(|i| {
+                    TraceInstruction::load(0x1000 + (i % 16) * 4, 0x100_0000 + i * 4096, 2)
+                        .with_srcs(Some(2), None)
+                })
+                .collect();
+            let mut pipeline = Pipeline::new(CpuConfig::ispass2010(), CacheHierarchy::new(config));
+            assert_eq!(pipeline.hierarchy().max_data_latency(), 31);
+            let r = pipeline.run(&mut trace.into_iter(), None);
+            assert_eq!(r.instructions, loads);
+            let data_misses = r.hierarchy.memory_accesses - r.hierarchy.l1i.misses;
+            assert_eq!(data_misses, loads, "every load misses to memory");
+            r.cycles
+        };
+        // Each further load issues the cycle its producer completes and adds
+        // exactly one miss latency: no completion is early, late or lost.
+        assert_eq!(chase(400) - chase(200), 200 * 31);
     }
 
     #[test]

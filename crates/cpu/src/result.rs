@@ -43,14 +43,12 @@ impl SimResult {
     }
 
     /// Performance of this run normalized to a `baseline` run of the same trace
-    /// (the y-axis of Figs. 8–12 of the paper): `IPC / IPC_baseline`.
+    /// (the y-axis of Figs. 8–12 of the paper): `IPC / IPC_baseline`, or `None`
+    /// when the baseline committed nothing and the ratio does not exist.
     #[must_use]
-    pub fn normalized_to(&self, baseline: &SimResult) -> f64 {
-        if baseline.ipc() == 0.0 {
-            0.0
-        } else {
-            self.ipc() / baseline.ipc()
-        }
+    pub fn normalized_to(&self, baseline: &SimResult) -> Option<f64> {
+        let base = baseline.ipc();
+        (base != 0.0).then(|| self.ipc() / base)
     }
 
     /// L1 data-cache miss rate of the run.
@@ -105,8 +103,10 @@ mod tests {
     fn normalization_compares_ipc() {
         let fast = result(1000, 500);
         let slow = result(1000, 1000);
-        assert!((slow.normalized_to(&fast) - 0.5).abs() < 1e-12);
-        assert!((fast.normalized_to(&slow) - 2.0).abs() < 1e-12);
-        assert_eq!(fast.normalized_to(&result(0, 0)), 0.0);
+        assert_eq!(slow.normalized_to(&fast), Some(0.5));
+        assert_eq!(fast.normalized_to(&slow), Some(2.0));
+        assert_eq!(fast.normalized_to(&result(0, 0)), None);
+        assert_eq!(fast.normalized_to(&result(10, 0)), None);
+        assert_eq!(result(0, 10).normalized_to(&fast), Some(0.0));
     }
 }

@@ -71,15 +71,18 @@ fn main() {
         HierarchyConfig::ispass2010(DisablingScheme::BlockDisabling, VoltageMode::Low),
         true,
     );
+    // The ratio is `None` when the baseline committed nothing.
+    let percent =
+        |v: Option<f64>| v.map_or_else(|| "n/a".to_string(), |v| format!("{:.1}%", 100.0 * v));
     println!("baseline (ideal)  IPC = {:.3}", baseline.ipc());
     println!(
-        "word disabling    IPC = {:.3}  ({:.1}% of baseline)",
+        "word disabling    IPC = {:.3}  ({} of baseline)",
         word.ipc(),
-        100.0 * word.normalized_to(&baseline)
+        percent(word.normalized_to(&baseline))
     );
     println!(
-        "block disabling   IPC = {:.3}  ({:.1}% of baseline)",
+        "block disabling   IPC = {:.3}  ({} of baseline)",
         block.ipc(),
-        100.0 * block.normalized_to(&baseline)
+        percent(block.normalized_to(&baseline))
     );
 }

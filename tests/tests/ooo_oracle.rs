@@ -3,8 +3,9 @@
 //!
 //! [`Pipeline::run`] keeps the ROB in a ring of sequence-indexed slots, pushes
 //! operand readiness to each consumer once (per-producer consumer lists and a
-//! ready bitset walked oldest first), keeps an unordered completion list and
-//! skips idle cycles. Every observable must be *bit-identical* to the old loop,
+//! ready bitset walked oldest first), files each issued entry in a completion
+//! timing wheel keyed by its completion cycle, and skips idle cycles to the
+//! wheel's next busy bucket. Every observable must be *bit-identical* to the old loop,
 //! which stepped one cycle at a time, swept the rename table on every commit,
 //! and still uses the two mechanisms the new loop replaced: a ROB-wide scan for
 //! completion and issue, and a per-cycle readiness check of every waiting
@@ -17,7 +18,9 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use vccmin_core::cache::{CacheHierarchy, DisablingScheme, FaultMap, HierarchyConfig, VoltageMode};
+use vccmin_core::cache::{
+    CacheHierarchy, DisablingScheme, FaultMap, HierarchyConfig, VictimCacheConfig, VoltageMode,
+};
 use vccmin_core::cpu::branch::{BranchPredictor, FrontEndPredictor};
 use vccmin_core::cpu::instruction::NUM_REGS;
 use vccmin_core::cpu::{
@@ -603,8 +606,13 @@ fn fault_maps() -> &'static FaultMaps {
 /// Every hierarchy a trace runs on: each repair scheme at high voltage, and
 /// at low voltage with a perfect and with a faulty (repaired) L2. Scheme and
 /// map combinations a scheme cannot repair are skipped, as a campaign would.
+/// Then victim caches of both cell technologies, and memory latencies that
+/// move the completion wheel off the paper's 128 and 512 buckets: a worst-case
+/// load of 3 + 20 + 9 = 32 cycles, a power of two, sizes it at 64 buckets, and
+/// one of 1023 cycles at 1024 buckets, one cycle short of a full lap.
 fn hierarchies() -> Vec<(String, CacheHierarchy)> {
     let maps = fault_maps();
+    let (l1i, l1d, l2) = (Some(&maps.l1i), Some(&maps.l1d), Some(&maps.l2));
     let mut out = Vec::new();
     for scheme in DisablingScheme::ALL {
         let high = HierarchyConfig::ispass2010(scheme, VoltageMode::High);
@@ -616,11 +624,28 @@ fn hierarchies() -> Vec<(String, CacheHierarchy)> {
             scheme
         };
         for (label, cfg) in [("perfect L2", low), ("faulty L2", low.with_l2_scheme(faulty_l2))] {
-            let (l1i, l1d, l2) = (Some(&maps.l1i), Some(&maps.l1d), Some(&maps.l2));
             if let Ok(h) = CacheHierarchy::with_all_fault_maps(cfg, l1i, l1d, l2) {
                 out.push((format!("{scheme:?}/low/{label}"), h));
             }
         }
+    }
+    let baseline = HierarchyConfig::ispass2010_baseline_high_voltage();
+    for victim in [VictimCacheConfig::ispass2010_10t(), VictimCacheConfig::ispass2010_6t()] {
+        let tech = victim.technology;
+        let high = baseline.with_victim_caches(victim);
+        out.push((format!("Baseline/high/{tech:?} victim"), CacheHierarchy::new(high)));
+        let low = HierarchyConfig::ispass2010(DisablingScheme::BlockDisabling, VoltageMode::Low)
+            .with_victim_caches(victim);
+        let h = CacheHierarchy::with_all_fault_maps(low, l1i, l1d, l2)
+            .expect("block disabling repairs the oracle's fault maps");
+        out.push((format!("BlockDisabling/low/{tech:?} victim"), h));
+    }
+    for memory_latency in [9, 1000] {
+        let cfg = HierarchyConfig {
+            memory_latency,
+            ..baseline
+        };
+        out.push((format!("Baseline/high/memory {memory_latency}"), CacheHierarchy::new(cfg)));
     }
     out
 }
